@@ -159,26 +159,6 @@ rules::AccessKind RuleKindFor(const Mutation& m, bool exists) {
 
 }  // namespace
 
-void Committer::set_faults(const CommitFaults& faults) {
-  FaultRegistry& registry = FaultRegistry::Global();
-  auto toggle = [&registry](bool on, const char* point, FaultAction action) {
-    if (on) {
-      FaultConfig config;
-      config.action = std::move(action);
-      registry.Arm(point, std::move(config));
-    } else {
-      registry.Disarm(point);
-    }
-  };
-  toggle(faults.rtcache_unavailable, "committer.prepare",
-         FaultAction::Fail(UnavailableError("Real-time Cache Prepare failed")));
-  toggle(faults.spanner_commit_fails, "committer.commit",
-         FaultAction::Fail(AbortedError("Spanner commit failed (injected)")));
-  // The unknown-outcome leg's status is fixed by the site; any action works.
-  toggle(faults.unknown_outcome, "committer.outcome_unknown",
-         FaultAction::Drop());
-}
-
 StatusOr<CommitResponse> Committer::Commit(
     const std::string& database_id, index::IndexCatalog& catalog,
     const std::vector<Mutation>& mutations,

@@ -45,17 +45,6 @@ struct TriggerEvent {
   static StatusOr<TriggerEvent> Parse(std::string_view data);
 };
 
-// Failure injection for testing the protocol's error legs (paper §IV-D2
-// enumerates them). Legacy shim over the global fault registry
-// (common/fault_injection.h): each flag arms/disarms a named fault point,
-// so arming here and arming the registry directly are equivalent.
-struct CommitFaults {
-  bool rtcache_unavailable = false;   // "committer.prepare" -> write fails
-  bool spanner_commit_fails = false;  // "committer.commit" -> Accept(kFailed)
-  bool unknown_outcome = false;       // "committer.outcome_unknown"
-                                      //   -> Accept(kUnknown)
-};
-
 class Committer {
  public:
   struct Options {
@@ -77,8 +66,6 @@ class Committer {
   // Optional collaborators.
   void set_realtime(RealTimeParticipant* rt) { realtime_ = rt; }
   void set_billing(BillingLedger* billing) { billing_ = billing; }
-  // Legacy fault shim: arms/disarms the global registry (see CommitFaults).
-  static void set_faults(const CommitFaults& faults);
 
   // Commits `mutations` atomically for `database_id`.
   //

@@ -22,9 +22,7 @@
 //
 // The registry is process-global (fault points are identified by name, not
 // by component instance), which is what makes a single chaos schedule able
-// to reach every layer at once. The legacy per-instance hooks
-// (Changelog::set_unavailable, backend::CommitFaults) are thin shims over
-// this registry.
+// to reach every layer at once. Unit tests arm points with ScopedFault.
 
 #ifndef FIRESTORE_COMMON_FAULT_INJECTION_H_
 #define FIRESTORE_COMMON_FAULT_INJECTION_H_

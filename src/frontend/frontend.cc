@@ -31,9 +31,7 @@ Frontend::Frontend(const Clock* clock, backend::ReadService* reader,
       tenants_(std::move(tenants)),
       options_(options),
       snapshots_counter_(FS_METRIC_COUNTER("frontend.snapshots")),
-      resets_counter_(FS_METRIC_COUNTER("frontend.resets")),
-      snapshots_base_(snapshots_counter_.value()),
-      resets_base_(resets_counter_.value()) {}
+      resets_counter_(FS_METRIC_COUNTER("frontend.resets")) {}
 
 Frontend::ConnectionId Frontend::OpenConnection(
     const std::string& database_id, rules::AuthContext auth) {
@@ -181,7 +179,6 @@ StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
   target.max_commit_version = initial.read_ts;
   target.results.clear();
   target.pending.clear();
-  target.watermarks.clear();
   target.needs_reset = false;
   target.reset_attempts = 0;
   target.reset_retry_at = 0;
@@ -214,11 +211,6 @@ void Frontend::OnRangeEvent(uint64_t subscription_id,
       if (event.ts <= target.max_commit_version) return;
       target.pending.emplace(event.ts, event.change);
       break;
-    case rtcache::RangeEvent::Type::kWatermark: {
-      Timestamp& wm = target.watermarks[event.range];
-      wm = std::max(wm, event.ts);
-      break;
-    }
     case rtcache::RangeEvent::Type::kOutOfSync:
       target.needs_reset = true;
       break;
@@ -228,8 +220,9 @@ void Frontend::OnRangeEvent(uint64_t subscription_id,
 Timestamp Frontend::RangeWatermarkLocked(const Target& target) const {
   Timestamp wm = spanner::kMaxTimestamp;
   for (rtcache::RangeId r : target.ranges) {
-    auto it = target.watermarks.find(r);
-    Timestamp range_wm = it == target.watermarks.end() ? 0 : it->second;
+    Timestamp range_wm = static_cast<size_t>(r) < range_watermarks_.size()
+                             ? range_watermarks_[r]
+                             : 0;
     wm = std::min(wm, range_wm);
   }
   return wm;
@@ -289,6 +282,15 @@ void Frontend::Pump() {
   std::vector<uint64_t> to_unsubscribe;
   {
     MutexLock lock(&mu_);
+    // One read of the published per-range watermarks serves every target.
+    // A watermark W is published only after every release at or below W
+    // has finished OnRangeEvent (under mu_), so the targets' pending
+    // buffers are complete through W. A target subscribed since (by a
+    // Listen, or a reset below) may use W at once: anything drained before
+    // its Subscribe was accepted after its Spanner commit, so it has
+    // ts <= StrongReadTimestamp() = R, the target's snapshot read, and
+    // anything drained after it reached the target's buffer.
+    range_watermarks_ = matcher_->watermarks();
     // 1. Resets: out-of-sync targets and limit/offset targets with pending
     //    relevant changes re-run their initial snapshot. Failed re-reads
     //    retry with backoff; after the retry budget the target is torn down

@@ -119,13 +119,6 @@ class Frontend {
   // consistent under the rules above. Call after Changelog::Tick().
   void Pump();
 
-  // -- Stats -- readable without the Frontend lock. Registry counters
-  // (frontend.*, docs/OBSERVABILITY.md) are the source of truth; accessors
-  // report the delta since this instance was built.
-  int64_t snapshots_delivered() const {
-    return snapshots_counter_.value() - snapshots_base_;
-  }
-  int64_t resets() const { return resets_counter_.value() - resets_base_; }
   int active_targets() const;
 
  private:
@@ -142,8 +135,6 @@ class Frontend {
     std::map<std::string, model::Document> results;
     // Buffered relevant changes by commit timestamp.
     std::multimap<spanner::Timestamp, backend::DocumentChange> pending;
-    // Latest watermark per subscribed range.
-    std::map<rtcache::RangeId, spanner::Timestamp> watermarks;
     bool needs_reset = false;
     // Queries with limit/offset are re-run on every relevant change (the
     // frontend cannot know which document enters a truncated result set).
@@ -167,7 +158,8 @@ class Frontend {
   StatusOr<QuerySnapshot> ResetTargetLocked(TargetId id, Target& target)
       FS_REQUIRES(mu_);
 
-  // Min watermark across the target's subscribed ranges.
+  // Min published watermark across the target's subscribed ranges, as of
+  // the table copy taken at the start of the current Pump.
   spanner::Timestamp RangeWatermarkLocked(const Target& target) const
       FS_REQUIRES(mu_);
 
@@ -198,11 +190,11 @@ class Frontend {
   std::map<ConnectionId, Connection> connections_ FS_GUARDED_BY(mu_);
   std::map<TargetId, Target> targets_ FS_GUARDED_BY(mu_);
   std::map<uint64_t, TargetId> by_subscription_ FS_GUARDED_BY(mu_);
-  // Registry-backed stats (lock-free increments; see accessor comment).
+  // Pump's copy of the Query Matcher's per-range watermark table.
+  std::vector<spanner::Timestamp> range_watermarks_ FS_GUARDED_BY(mu_);
+  // Registry-backed stats (frontend.*, docs/OBSERVABILITY.md).
   Counter& snapshots_counter_;
   Counter& resets_counter_;
-  const int64_t snapshots_base_;
-  const int64_t resets_base_;
 };
 
 }  // namespace firestore::frontend

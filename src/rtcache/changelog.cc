@@ -27,22 +27,7 @@ Changelog::Changelog(const Clock* clock, const RangeOwnership* ranges,
       prepares_counter_(FS_METRIC_COUNTER("rtcache.prepares")),
       accepts_counter_(FS_METRIC_COUNTER("rtcache.accepts")),
       out_of_sync_counter_(FS_METRIC_COUNTER("rtcache.out_of_sync")),
-      released_counter_(FS_METRIC_COUNTER("rtcache.released")),
-      prepares_base_(prepares_counter_.value()),
-      accepts_base_(accepts_counter_.value()),
-      out_of_sync_base_(out_of_sync_counter_.value()),
-      released_base_(released_counter_.value()) {}
-
-void Changelog::set_unavailable(bool unavailable) {
-  if (unavailable) {
-    FaultConfig config;
-    config.action =
-        FaultAction::Fail(UnavailableError("Changelog unavailable (injected)"));
-    FaultRegistry::Global().Arm("rtcache.prepare", std::move(config));
-  } else {
-    FaultRegistry::Global().Disarm("rtcache.prepare");
-  }
-}
+      released_counter_(FS_METRIC_COUNTER("rtcache.released")) {}
 
 StatusOr<PrepareHandle> Changelog::Prepare(
     const std::string& database_id,
@@ -98,13 +83,7 @@ void Changelog::Accept(uint64_t token, WriteOutcome outcome,
     }
     PendingPrepare pending = std::move(it->second);
     pending_.erase(it);
-    for (RangeId r : pending.ranges) {
-      RangeState& state = range_states_[r];
-      auto out = state.outstanding.find(pending.min_ts);
-      if (out != state.outstanding.end() && --out->second == 0) {
-        state.outstanding.erase(out);
-      }
-    }
+    ReleaseHoldLocked(pending);
     switch (outcome) {
       case WriteOutcome::kFailed:
         break;  // dropped
@@ -153,6 +132,7 @@ void Changelog::Tick() {
         ++it;
         continue;
       }
+      ReleaseHoldLocked(it->second);
       for (RangeId r : it->second.ranges) MarkOutOfSyncLocked(r);
       it = pending_.erase(it);
     }
@@ -180,13 +160,23 @@ void Changelog::Tick() {
   DrainNotifications();
 }
 
+void Changelog::ReleaseHoldLocked(const PendingPrepare& pending) {
+  for (RangeId r : pending.ranges) {
+    std::map<Timestamp, int>& outstanding = range_states_[r].outstanding;
+    auto out = outstanding.find(pending.min_ts);
+    if (out != outstanding.end() && --out->second == 0) {
+      outstanding.erase(out);
+    }
+  }
+}
+
 void Changelog::MarkOutOfSyncLocked(RangeId range) {
   RangeState& state = range_states_[range];
   state.buffer.clear();
-  state.outstanding.clear();
-  state.watermark = clock_->NowMicros();
-  state.last_assigned_min = std::max(state.last_assigned_min,
-                                     state.watermark);
+  // Other Prepares on the range keep their holds on the watermark: one may
+  // have committed below "now" with its Accept still on the way, and its
+  // release must not arrive behind a published watermark (a Frontend
+  // would drop it as already covered by its snapshot).
   out_of_sync_counter_.Increment();
   notify_queue_.push_back(
       {Notification::Kind::kOutOfSync, range, state.watermark, {}, {}});
@@ -229,12 +219,6 @@ void Changelog::DrainNotifications() {
         break;
     }
   }
-}
-
-Timestamp Changelog::watermark(RangeId range) const {
-  MutexLock lock(&mu_);
-  auto it = range_states_.find(range);
-  return it == range_states_.end() ? 0 : it->second.watermark;
 }
 
 }  // namespace firestore::rtcache

@@ -55,30 +55,11 @@ class Changelog : public backend::RealTimeParticipant {
   // Heartbeat pump ("Changelog tasks generate a heartbeat every few
   // milliseconds for every idle key range"): expires overdue Prepares,
   // advances watermarks, releases complete mutations in timestamp order,
-  // and forwards watermarks to the Query Matcher.
+  // and queues one watermark per range behind those releases. The drainer
+  // publishes each watermark into the Query Matcher's per-range table
+  // (QueryMatcher::OnWatermark) only after the releases it covers have
+  // been delivered; Tick itself never writes the table.
   void Tick();
-
-  // Legacy fault-injection shim: arms/disarms the global "rtcache.prepare"
-  // fault point (common/fault_injection.h), under which Prepares fail
-  // UNAVAILABLE. Process-global, like the registry it fronts.
-  static void set_unavailable(bool unavailable);
-
-  spanner::Timestamp watermark(RangeId range) const;
-
-  // -- Stats -- readable without the Changelog lock. The process-global
-  // MetricRegistry counters (rtcache.*, docs/OBSERVABILITY.md) are the
-  // source of truth; these report the delta since this instance was built,
-  // preserving the old per-instance accessor semantics.
-  int64_t prepares() const {
-    return prepares_counter_.value() - prepares_base_;
-  }
-  int64_t accepts() const { return accepts_counter_.value() - accepts_base_; }
-  int64_t out_of_sync_events() const {
-    return out_of_sync_counter_.value() - out_of_sync_base_;
-  }
-  int64_t mutations_released() const {
-    return released_counter_.value() - released_base_;
-  }
 
  private:
   struct PendingPrepare {
@@ -119,6 +100,9 @@ class Changelog : public backend::RealTimeParticipant {
     backend::DocumentChange change;     // kRelease only
   };
 
+  // Drops a resolved (accepted or expired) Prepare's hold on the
+  // watermarks of its ranges.
+  void ReleaseHoldLocked(const PendingPrepare& pending) FS_REQUIRES(mu_);
   void MarkOutOfSyncLocked(RangeId range) FS_REQUIRES(mu_);
   void DrainNotifications() FS_EXCLUDES(mu_);
 
@@ -135,15 +119,11 @@ class Changelog : public backend::RealTimeParticipant {
   std::map<RangeId, RangeState> range_states_ FS_GUARDED_BY(mu_);
   std::deque<Notification> notify_queue_ FS_GUARDED_BY(mu_);
   bool notifying_ FS_GUARDED_BY(mu_) = false;
-  // Registry-backed stats (lock-free increments; see accessor comment).
+  // Registry-backed stats (rtcache.*, docs/OBSERVABILITY.md).
   Counter& prepares_counter_;
   Counter& accepts_counter_;
   Counter& out_of_sync_counter_;
   Counter& released_counter_;
-  const int64_t prepares_base_;
-  const int64_t accepts_base_;
-  const int64_t out_of_sync_base_;
-  const int64_t released_base_;
 };
 
 }  // namespace firestore::rtcache

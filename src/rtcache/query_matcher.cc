@@ -8,9 +8,7 @@ namespace firestore::rtcache {
 
 QueryMatcher::QueryMatcher()
     : matched_counter_(FS_METRIC_COUNTER("rtcache.matcher.matched")),
-      examined_counter_(FS_METRIC_COUNTER("rtcache.matcher.examined")),
-      matched_base_(matched_counter_.value()),
-      examined_base_(examined_counter_.value()) {}
+      examined_counter_(FS_METRIC_COUNTER("rtcache.matcher.examined")) {}
 
 void QueryMatcher::Subscribe(uint64_t subscription_id,
                              const std::string& database_id,
@@ -70,20 +68,11 @@ void QueryMatcher::OnDocumentChange(const std::string& database_id,
 }
 
 void QueryMatcher::OnWatermark(RangeId range, spanner::Timestamp ts) {
-  std::vector<std::pair<uint64_t, EventSink>> targets;
-  {
-    MutexLock lock(&mu_);
-    auto it = by_range_.find(range);
-    if (it == by_range_.end()) return;
-    for (uint64_t id : it->second) {
-      targets.emplace_back(id, subscriptions_.at(id).sink);
-    }
+  MutexLock lock(&mu_);
+  if (static_cast<size_t>(range) >= watermarks_.size()) {
+    watermarks_.resize(range + 1, 0);
   }
-  RangeEvent event;
-  event.type = RangeEvent::Type::kWatermark;
-  event.range = range;
-  event.ts = ts;
-  for (auto& [id, sink] : targets) sink(id, event);
+  watermarks_[range] = std::max(watermarks_[range], ts);
 }
 
 void QueryMatcher::OnOutOfSync(RangeId range) {
@@ -100,6 +89,17 @@ void QueryMatcher::OnOutOfSync(RangeId range) {
   event.type = RangeEvent::Type::kOutOfSync;
   event.range = range;
   for (auto& [id, sink] : targets) sink(id, event);
+}
+
+spanner::Timestamp QueryMatcher::watermark(RangeId range) const {
+  MutexLock lock(&mu_);
+  return static_cast<size_t>(range) < watermarks_.size() ? watermarks_[range]
+                                                         : 0;
+}
+
+std::vector<spanner::Timestamp> QueryMatcher::watermarks() const {
+  MutexLock lock(&mu_);
+  return watermarks_;
 }
 
 int QueryMatcher::subscription_count() const {

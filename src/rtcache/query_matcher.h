@@ -1,6 +1,9 @@
 // Query Matcher tasks (paper §IV-D4, Figure 5): hold the real-time queries
 // registered for each document-name range; match every forwarded document
-// update against them and send matches to the subscribing Frontend.
+// update against them and send matches to the subscribing Frontend. The
+// matcher also publishes one completeness watermark per range, which every
+// Frontend reads at Pump: a watermark is a fact about a range, not about a
+// subscription, so heartbeats cost the same with one listener or thousands.
 
 #ifndef FIRESTORE_RTCACHE_QUERY_MATCHER_H_
 #define FIRESTORE_RTCACHE_QUERY_MATCHER_H_
@@ -24,11 +27,10 @@ namespace firestore::rtcache {
 struct RangeEvent {
   enum class Type {
     kChange,     // a committed document update relevant to the query
-    kWatermark,  // the range's update stream is complete through `ts`
     kOutOfSync,  // ordering lost; the Frontend must reset the query
   };
 
-  Type type = Type::kWatermark;
+  Type type = Type::kChange;
   RangeId range = 0;
   spanner::Timestamp ts = 0;
   backend::DocumentChange change;  // kChange only
@@ -58,20 +60,21 @@ class QueryMatcher {
                         spanner::Timestamp ts,
                         const backend::DocumentChange& change);
 
-  // Completeness heartbeat for a range.
+  // Completeness heartbeat: the range's update stream is complete through
+  // `ts`. Raises the range's published watermark (never lowers it) and
+  // calls no sink. Only the Changelog's single notification drainer calls
+  // this, after every release at or below `ts` has finished delivery.
   void OnWatermark(RangeId range, spanner::Timestamp ts);
 
   void OnOutOfSync(RangeId range);
 
-  // -- Stats -- readable without the matcher lock. Registry counters
-  // (rtcache.matcher.*, docs/OBSERVABILITY.md) are the source of truth;
-  // accessors report the delta since this instance was built.
-  int64_t documents_matched() const {
-    return matched_counter_.value() - matched_base_;
-  }
-  int64_t documents_examined() const {
-    return examined_counter_.value() - examined_base_;
-  }
+  // -- Published watermarks --
+
+  // The range's published watermark; 0 before its first heartbeat.
+  spanner::Timestamp watermark(RangeId range) const;
+  // The whole table, indexed by RangeId (ranges past its end read as 0).
+  std::vector<spanner::Timestamp> watermarks() const;
+
   int subscription_count() const;
 
  private:
@@ -86,11 +89,11 @@ class QueryMatcher {
   std::map<uint64_t, Subscription> subscriptions_ FS_GUARDED_BY(mu_);
   // range -> subscription ids registered on it.
   std::map<RangeId, std::vector<uint64_t>> by_range_ FS_GUARDED_BY(mu_);
-  // Registry-backed stats (lock-free increments; see accessor comment).
+  // range -> published watermark (see OnWatermark).
+  std::vector<spanner::Timestamp> watermarks_ FS_GUARDED_BY(mu_);
+  // Registry-backed stats (rtcache.matcher.*, docs/OBSERVABILITY.md).
   Counter& matched_counter_;
   Counter& examined_counter_;
-  const int64_t matched_base_;
-  const int64_t examined_base_;
 };
 
 }  // namespace firestore::rtcache

@@ -19,13 +19,6 @@ using spanner::Timestamp;
 
 namespace {
 
-// Per-tenant request accounting (paper Fig. 6: tenant load spans nine orders
-// of magnitude — the registry label keeps the breakdown without a per-tenant
-// metric name).
-void RecordTenantRequest(const std::string& database_id) {
-  FS_METRIC_COUNTER_FOR("service.tenant.requests", database_id).Increment();
-}
-
 // Single call site for the tenant-count gauge (metric names are one-site,
 // like fault points; see the fslint metric-name-registry rule).
 void SetTenantGauge(size_t tenants) {
@@ -82,11 +75,13 @@ Status FirestoreService::CreateDatabase(const std::string& database_id,
                      rules::RuleSet::Parse(options.rules_source));
     rules = std::make_unique<rules::RuleSet>(std::move(parsed));
   }
+  auto tenant = std::make_shared<Tenant>();
+  tenant->requests =
+      &FS_METRIC_COUNTER_FOR("service.tenant.requests", database_id);
   MutexLock lock(&mu_);
   if (tenants_.count(database_id) != 0) {
     return AlreadyExistsError("database exists: " + database_id);
   }
-  auto tenant = std::make_shared<Tenant>();
   tenant->options = std::move(options);
   tenant->rules = std::move(rules);
   tenants_.emplace(database_id, std::move(tenant));
@@ -199,10 +194,10 @@ StatusOr<CommitResponse> FirestoreService::Commit(
   FS_SPAN("service.commit");
   ScopedTimer timer(FS_METRIC_TIMER("service.commit.latency"), clock_);
   FS_METRIC_COUNTER("service.commits").Increment();
-  RecordTenantRequest(database_id);
   RETURN_IF_ERROR(FS_FAULT_POINT("service.commit"));
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   return committer_.Commit(database_id, tenant->catalog, mutations,
                            tenant->triggers);
 }
@@ -213,9 +208,10 @@ StatusOr<std::optional<Document>> FirestoreService::Get(
   FS_SPAN("service.get");
   ScopedTimer timer(FS_METRIC_TIMER("service.get.latency"), clock_);
   FS_METRIC_COUNTER("service.gets").Increment();
-  RecordTenantRequest(database_id);
   RETURN_IF_ERROR(FS_FAULT_POINT("service.get"));
-  RETURN_IF_ERROR(GetTenant(database_id).status());
+  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
+                   GetTenant(database_id));
+  tenant->requests->Increment();
   return reader_.GetDocument(database_id, name, read_ts);
 }
 
@@ -225,10 +221,10 @@ StatusOr<backend::RunQueryResult> FirestoreService::RunQuery(
   FS_SPAN("service.query");
   ScopedTimer timer(FS_METRIC_TIMER("service.query.latency"), clock_);
   FS_METRIC_COUNTER("service.queries").Increment();
-  RecordTenantRequest(database_id);
   RETURN_IF_ERROR(FS_FAULT_POINT("service.query"));
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   return reader_.RunQuery(database_id, tenant->catalog, q, read_ts);
 }
 
@@ -254,10 +250,10 @@ StatusOr<CommitResponse> FirestoreService::RunTransaction(
     const backend::Committer::TransactionBody& body) {
   FS_SPAN("service.run_transaction");
   FS_METRIC_COUNTER("service.transactions").Increment();
-  RecordTenantRequest(database_id);
   RETURN_IF_ERROR(FS_FAULT_POINT("service.run_transaction"));
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   return committer_.RunTransaction(database_id, tenant->catalog, body,
                                    tenant->triggers);
 }
@@ -266,10 +262,10 @@ StatusOr<CommitResponse> FirestoreService::CommitAsUser(
     const std::string& database_id, const rules::AuthContext& auth,
     const std::vector<Mutation>& mutations) {
   FS_SPAN("service.commit_as_user");
-  RecordTenantRequest(database_id);
   RETURN_IF_ERROR(FS_FAULT_POINT("service.commit_as_user"));
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   if (tenant->rules == nullptr) {
     return PermissionDeniedError(
         "third-party access requires security rules");

@@ -224,11 +224,20 @@ std::unique_ptr<ReadWriteTransaction> Database::BeginTransaction() {
       new ReadWriteTransaction(this, id));
 }
 
+Status Database::CheckReadTimestampLocked(Timestamp ts) const {
+  if (ts >= gc_horizon_) return Status::Ok();
+  return FailedPreconditionError(
+      "read timestamp " + std::to_string(ts) +
+      " is below the garbage-collection horizon " +
+      std::to_string(gc_horizon_));
+}
+
 StatusOr<RowValue> Database::SnapshotRead(const std::string& table,
                                           const Key& key, Timestamp ts,
                                           Timestamp* version) const {
   RETURN_IF_ERROR(FS_FAULT_POINT("spanner.snapshot.read"));
   ReaderMutexLock lock(&data_mu_);
+  RETURN_IF_ERROR(CheckReadTimestampLocked(ts));
   auto it = tables_.find(table);
   if (it == tables_.end()) return NotFoundError("no such table: " + table);
   return it->second->ReadAt(key, ts, version);
@@ -239,6 +248,7 @@ StatusOr<std::vector<ScanRow>> Database::SnapshotScan(
     Timestamp ts, int64_t max_rows) const {
   RETURN_IF_ERROR(FS_FAULT_POINT("spanner.snapshot.scan"));
   ReaderMutexLock lock(&data_mu_);
+  RETURN_IF_ERROR(CheckReadTimestampLocked(ts));
   auto it = tables_.find(table);
   if (it == tables_.end()) return NotFoundError("no such table: " + table);
   std::vector<ScanRow> rows;
@@ -263,6 +273,12 @@ int Database::RunLoadSplitting(int64_t load_threshold) {
 
 int64_t Database::GarbageCollect(Timestamp horizon) {
   WriterMutexLock lock(&data_mu_);
+  // Each key keeps its newest version at or below `horizon`, and no version
+  // is newer than the last allocated timestamp, so reads at or above the
+  // smaller of the two stay exact; a horizon past "now" must not fail
+  // strong reads.
+  gc_horizon_ =
+      std::max(gc_horizon_, std::min(horizon, oracle_.last_allocated()));
   int64_t dropped = 0;
   for (auto& [name, table] : tables_) {
     (void)name;

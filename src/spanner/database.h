@@ -112,7 +112,9 @@ class Database {
 
   // Lock-free timestamped reads (paper §IV-D1: "the serializability
   // guarantee on timestamps allows Firestore to perform lock-free consistent
-  // reads across a database without blocking writes").
+  // reads across a database without blocking writes"). A read below the
+  // garbage-collection horizon fails FAILED_PRECONDITION (Spanner's "read
+  // timestamp too old"): the versions it needs may be gone.
   StatusOr<RowValue> SnapshotRead(const std::string& table, const Key& key,
                                   Timestamp ts,
                                   Timestamp* version = nullptr) const;
@@ -135,7 +137,9 @@ class Database {
   // Returns splits performed.
   int RunLoadSplitting(int64_t load_threshold);
 
-  // MVCC garbage collection of versions older than `horizon`.
+  // MVCC garbage collection of versions older than `horizon`. Raises the
+  // horizon below which snapshot reads fail to min(horizon, last allocated
+  // timestamp); it never moves back.
   int64_t GarbageCollect(Timestamp horizon);
 
   // Lock wait timeout applied to transactional reads/commits.
@@ -166,6 +170,11 @@ class Database {
       FS_ACQUIRED_BEFORE("spanner::TimestampOracle::mu_");
   std::map<std::string, std::unique_ptr<Table>> tables_
       FS_GUARDED_BY(data_mu_);
+  // Snapshots below this may have lost versions to GarbageCollect.
+  Timestamp gc_horizon_ FS_GUARDED_BY(data_mu_) = 0;
+
+  Status CheckReadTimestampLocked(Timestamp ts) const
+      FS_REQUIRES_SHARED(data_mu_);
 };
 
 }  // namespace firestore::spanner

@@ -5,6 +5,7 @@
 
 #include "backend/committer.h"
 #include "backend/read_service.h"
+#include "common/fault_injection.h"
 #include "firestore/codec/document_codec.h"
 #include "tests/test_support.h"
 
@@ -229,22 +230,22 @@ TEST(CommitterTest, RtCacheUnavailableFaultFailsWrite) {
   TestTenant t;
   FakeRealTime rt;
   t.committer().set_realtime(&rt);
-  CommitFaults faults;
-  faults.rtcache_unavailable = true;
-  t.committer().set_faults(faults);
+  FaultConfig config;
+  config.action =
+      FaultAction::Fail(UnavailableError("Real-time Cache Prepare failed"));
+  ScopedFault fault("committer.prepare", config);
   auto result = t.committer().Commit(
       t.id(), t.catalog(), {Mutation::Set(Path("/r/one"), {})});
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  t.committer().set_faults(CommitFaults{});  // shim is process-global
 }
 
 TEST(CommitterTest, SpannerFailureSendsFailedAccept) {
   TestTenant t;
   FakeRealTime rt;
   t.committer().set_realtime(&rt);
-  CommitFaults faults;
-  faults.spanner_commit_fails = true;
-  t.committer().set_faults(faults);
+  FaultConfig config;
+  config.action = FaultAction::Fail(AbortedError("Spanner commit failed"));
+  ScopedFault fault("committer.commit", config);
   auto result = t.committer().Commit(
       t.id(), t.catalog(), {Mutation::Set(Path("/r/one"), {})});
   EXPECT_EQ(result.status().code(), StatusCode::kAborted);
@@ -252,16 +253,15 @@ TEST(CommitterTest, SpannerFailureSendsFailedAccept) {
   EXPECT_EQ(rt.last_outcome, WriteOutcome::kFailed);
   EXPECT_FALSE(
       t.reader().GetDocument(t.id(), Path("/r/one"))->has_value());
-  t.committer().set_faults(CommitFaults{});  // shim is process-global
 }
 
 TEST(CommitterTest, UnknownOutcomeCommitsButReportsUnknown) {
   TestTenant t;
   FakeRealTime rt;
   t.committer().set_realtime(&rt);
-  CommitFaults faults;
-  faults.unknown_outcome = true;
-  t.committer().set_faults(faults);
+  FaultConfig config;
+  config.action = FaultAction::Drop();
+  ScopedFault fault("committer.outcome_unknown", config);
   auto result = t.committer().Commit(
       t.id(), t.catalog(), {Mutation::Set(Path("/r/one"), {})});
   // Paper: "the write is acknowledged to the end-user" only in the lost-
@@ -270,7 +270,6 @@ TEST(CommitterTest, UnknownOutcomeCommitsButReportsUnknown) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(rt.last_outcome, WriteOutcome::kUnknown);
   EXPECT_TRUE(t.reader().GetDocument(t.id(), Path("/r/one"))->has_value());
-  t.committer().set_faults(CommitFaults{});  // shim is process-global
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "service/service.h"
 #include "tests/test_support.h"
 
@@ -245,20 +246,22 @@ TEST_F(RealtimeTest, OutOfSyncTriggersTransparentReset) {
   PutAndPump("/scores/a", {{"points", Value::Integer(1)}});
   ASSERT_EQ(rec.snapshots.size(), 2u);
   // An unknown-outcome write poisons the ranges; listeners must reset.
-  backend::CommitFaults faults;
-  faults.unknown_outcome = true;
-  service_.committer().set_faults(faults);
-  auto unknown = service_.Commit(
-      kDb, {Mutation::Set(Path("/scores/b"), {{"points",
-                                               Value::Integer(2)}})});
-  EXPECT_EQ(unknown.status().code(), StatusCode::kDeadlineExceeded);
-  service_.committer().set_faults(backend::CommitFaults{});
+  const int64_t resets0 = testing::CounterValue("frontend.resets");
+  {
+    FaultConfig config;
+    config.action = FaultAction::Drop();
+    ScopedFault fault("committer.outcome_unknown", config);
+    auto unknown = service_.Commit(
+        kDb, {Mutation::Set(Path("/scores/b"), {{"points",
+                                                 Value::Integer(2)}})});
+    EXPECT_EQ(unknown.status().code(), StatusCode::kDeadlineExceeded);
+  }
   Pump();
   ASSERT_GE(rec.snapshots.size(), 3u);
   EXPECT_TRUE(rec.last().is_reset);
   // The reset snapshot reflects the actually-committed write.
   EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_GE(service_.frontend().resets(), 1);
+  EXPECT_GE(testing::CounterValue("frontend.resets") - resets0, 1);
 }
 
 TEST_F(RealtimeTest, ThirdPartyListenRequiresRules) {
@@ -381,12 +384,13 @@ TEST(MultiRangeRealtimeTest, SnapshotWaitsForAllRangeWatermarks) {
   EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"alpha", "zeta"}));
 
   // An out-of-sync on one range resets the whole query.
-  backend::CommitFaults faults;
-  faults.unknown_outcome = true;
-  service.committer().set_faults(faults);
-  (void)service.Commit(db, {Mutation::Set(Path("/scores/alpha"),
-                                          {{"v", Value::Integer(9)}})});
-  service.committer().set_faults(backend::CommitFaults{});
+  {
+    FaultConfig config;
+    config.action = FaultAction::Drop();
+    ScopedFault fault("committer.outcome_unknown", config);
+    (void)service.Commit(db, {Mutation::Set(Path("/scores/alpha"),
+                                            {{"v", Value::Integer(9)}})});
+  }
   clock.AdvanceBy(100'000);
   service.Pump();
   service.Pump();

@@ -31,6 +31,7 @@ namespace {
 
 using backend::Mutation;
 using model::Value;
+using ::firestore::testing::CounterValue;
 using ::firestore::testing::Path;
 
 constexpr char kDb[] = "projects/p/databases/obs";
@@ -216,10 +217,6 @@ TEST(TraceTest, SpansNoOpWithoutAmbientTrace) {
   trace.Finish();
   ASSERT_EQ(trace.spans().size(), 2u);
   EXPECT_EQ(trace.spans()[1].name, "obs.test.traced");
-}
-
-int64_t CounterValue(const char* name, const char* label) {
-  return MetricRegistry::Global().GetCounter(name, label).value();
 }
 
 // Chaos cross-check: every injected retryable failure is one counted retry

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/fault_injection.h"
 #include "rtcache/changelog.h"
 #include "rtcache/query_matcher.h"
 #include "rtcache/range_ownership.h"
@@ -13,8 +20,17 @@ using backend::WriteOutcome;
 using model::Document;
 using model::Value;
 using spanner::Timestamp;
+using testing::CounterValue;
 using testing::Field;
 using testing::Path;
+
+DocumentChange MakeChange(const std::string& path, int64_t v) {
+  DocumentChange change;
+  change.name = Path(path);
+  Document doc(change.name, {{"v", Value::Integer(v)}});
+  change.new_doc = std::move(doc);
+  return change;
+}
 
 // ---------------------------------------------------------------------------
 // RangeOwnership
@@ -76,14 +92,6 @@ class RtFixture : public ::testing::Test {
         });
   }
 
-  DocumentChange MakeChange(const std::string& path, int64_t v) {
-    DocumentChange change;
-    change.name = Path(path);
-    Document doc(change.name, {{"v", Value::Integer(v)}});
-    change.new_doc = std::move(doc);
-    return change;
-  }
-
   std::vector<RangeEvent> ChangeEvents() const {
     std::vector<RangeEvent> out;
     for (const RangeEvent& e : events_) {
@@ -97,13 +105,8 @@ class RtFixture : public ::testing::Test {
     }
     return false;
   }
-  Timestamp LastWatermark() const {
-    Timestamp w = -1;
-    for (const RangeEvent& e : events_) {
-      if (e.type == RangeEvent::Type::kWatermark) w = e.ts;
-    }
-    return w;
-  }
+  // The single range's published watermark.
+  Timestamp LastWatermark() const { return matcher_.watermark(0); }
 
   ManualClock clock_;
   RangeOwnership ranges_;
@@ -161,9 +164,10 @@ TEST_F(RtFixture, UnknownOutcomeMarksRangeOutOfSync) {
   auto p = changelog_.Prepare("db", {Path("/docs/a")},
                               clock_.NowMicros() + 1'000'000);
   ASSERT_TRUE(p.ok());
+  const int64_t out_of_sync0 = CounterValue("rtcache.out_of_sync");
   changelog_.Accept(p->token, WriteOutcome::kUnknown, 0, {});
   EXPECT_TRUE(SawOutOfSync());
-  EXPECT_EQ(changelog_.out_of_sync_events(), 1);
+  EXPECT_EQ(CounterValue("rtcache.out_of_sync") - out_of_sync0, 1);
 }
 
 TEST_F(RtFixture, ExpiredPrepareMarksRangeOutOfSync) {
@@ -178,6 +182,29 @@ TEST_F(RtFixture, ExpiredPrepareMarksRangeOutOfSync) {
   changelog_.Accept(p->token, WriteOutcome::kSuccess, p->min_commit_ts + 1,
                     {MakeChange("/docs/a", 1)});
   EXPECT_TRUE(ChangeEvents().empty());
+}
+
+TEST_F(RtFixture, OutOfSyncLeavesInFlightPreparesHoldingTheWatermark) {
+  Timestamp max_ts = clock_.NowMicros() + 10'000'000;
+  auto unknown = changelog_.Prepare("db", {Path("/docs/a")}, max_ts);
+  auto in_flight = changelog_.Prepare("db", {Path("/docs/b")}, max_ts);
+  ASSERT_TRUE(unknown.ok() && in_flight.ok());
+  // The second write has committed, but its Accept is still on the way
+  // when the first write's unknown outcome marks the range out-of-sync.
+  Timestamp commit_ts = in_flight->min_commit_ts;
+  changelog_.Accept(unknown->token, WriteOutcome::kUnknown, 0, {});
+  clock_.AdvanceBy(1'000);
+  changelog_.Tick();
+  EXPECT_LT(LastWatermark(), commit_ts);
+  // Its release must not arrive behind a published watermark: a Frontend
+  // that had advanced past commit_ts would drop it as already covered.
+  changelog_.Accept(in_flight->token, WriteOutcome::kSuccess, commit_ts,
+                    {MakeChange("/docs/b", 1)});
+  clock_.AdvanceBy(1'000);
+  changelog_.Tick();
+  ASSERT_EQ(ChangeEvents().size(), 1u);
+  EXPECT_EQ(ChangeEvents()[0].ts, commit_ts);
+  EXPECT_EQ(LastWatermark(), clock_.NowMicros());
 }
 
 TEST_F(RtFixture, HeartbeatsAdvanceIdleWatermark) {
@@ -199,13 +226,15 @@ TEST_F(RtFixture, WatermarkHeldBackByOutstandingPrepare) {
 }
 
 TEST_F(RtFixture, UnavailableFaultFailsPrepare) {
-  changelog_.set_unavailable(true);
-  auto p = changelog_.Prepare("db", {Path("/docs/a")},
-                              clock_.NowMicros() + 1'000'000);
-  EXPECT_EQ(p.status().code(), StatusCode::kUnavailable);
-  // The shim arms the process-global fault registry; clear it so later
-  // tests in this binary see a healthy Changelog.
-  changelog_.set_unavailable(false);
+  {
+    FaultConfig config;
+    config.action =
+        FaultAction::Fail(UnavailableError("Changelog unavailable"));
+    ScopedFault fault("rtcache.prepare", config);
+    auto p = changelog_.Prepare("db", {Path("/docs/a")},
+                                clock_.NowMicros() + 1'000'000);
+    EXPECT_EQ(p.status().code(), StatusCode::kUnavailable);
+  }
   auto p2 = changelog_.Prepare("db", {Path("/docs/a")},
                                clock_.NowMicros() + 1'000'000);
   EXPECT_TRUE(p2.ok());
@@ -214,6 +243,8 @@ TEST_F(RtFixture, UnavailableFaultFailsPrepare) {
 TEST_F(RtFixture, MatcherFiltersIrrelevantChanges) {
   // The subscription is for collection "docs"; a change in another
   // collection is matched against the query and dropped.
+  const int64_t examined0 = CounterValue("rtcache.matcher.examined");
+  const int64_t matched0 = CounterValue("rtcache.matcher.matched");
   auto p = changelog_.Prepare("db", {Path("/other/x")},
                               clock_.NowMicros() + 1'000'000);
   ASSERT_TRUE(p.ok());
@@ -222,8 +253,8 @@ TEST_F(RtFixture, MatcherFiltersIrrelevantChanges) {
   clock_.AdvanceBy(2'000'000);
   changelog_.Tick();
   EXPECT_TRUE(ChangeEvents().empty());
-  EXPECT_GT(matcher_.documents_examined(), 0);
-  EXPECT_EQ(matcher_.documents_matched(), 0);
+  EXPECT_GT(CounterValue("rtcache.matcher.examined") - examined0, 0);
+  EXPECT_EQ(CounterValue("rtcache.matcher.matched") - matched0, 0);
 }
 
 TEST_F(RtFixture, MatcherForwardsRemovals) {
@@ -265,6 +296,87 @@ TEST_F(RtFixture, UnsubscribeStopsDelivery) {
   clock_.AdvanceBy(2'000'000);
   changelog_.Tick();
   EXPECT_TRUE(events_.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Published watermarks
+
+// Writers Prepare and Accept while another thread Ticks. A watermark is
+// published only after the releases it covers have been delivered, so at
+// every delivery the range's published watermark is still below the
+// change's timestamp. Publishing from Tick, or from any thread but the
+// FIFO drainer, lets a watermark outrun a release and fails this test.
+TEST(WatermarkTableTest, WatermarkNeverOutrunsARelease) {
+  RealClock clock;
+  RangeOwnership ranges = RangeOwnership::Uniform(2);
+  QueryMatcher matcher;
+  Changelog changelog(&clock, &ranges, &matcher);
+  std::atomic<int> delivered{0};
+  std::atomic<int> outrun{0};
+  matcher.Subscribe(1, "db", query::Query(model::ResourcePath(), "docs"),
+                    {0, 1}, [&](uint64_t, const RangeEvent& event) {
+                      if (event.type != RangeEvent::Type::kChange) return;
+                      delivered.fetch_add(1);
+                      if (event.ts <= matcher.watermark(event.range)) {
+                        outrun.fetch_add(1);
+                      }
+                    });
+  constexpr int kWriters = 3;
+  constexpr int kWritesPerWriter = 300;
+  std::atomic<bool> stop{false};
+  // The ticker pauses between heartbeats like a real pump: spinning, it
+  // could enqueue watermarks faster than the drainer fires them.
+  std::thread ticker([&] {
+    while (!stop.load()) {
+      changelog.Tick();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        std::string path =
+            "/docs/w" + std::to_string(w) + "-" + std::to_string(i % 8);
+        auto p = changelog.Prepare("db", {Path(path)},
+                                   clock.NowMicros() + 60'000'000);
+        if (!p.ok()) continue;
+        changelog.Accept(p->token, WriteOutcome::kSuccess, p->min_commit_ts,
+                         {MakeChange(path, i)});
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  stop.store(true);
+  ticker.join();
+  // Release the tail: assigned minimums may run a little ahead of the clock.
+  for (int i = 0; i < 100 && delivered.load() < kWriters * kWritesPerWriter;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    changelog.Tick();
+  }
+  EXPECT_EQ(delivered.load(), kWriters * kWritesPerWriter);
+  EXPECT_EQ(outrun.load(), 0);
+}
+
+// Heartbeats are per range: an idle Tick publishes the range's watermark
+// once and calls no subscription's sink, however many there are.
+TEST(WatermarkTableTest, IdleTickMakesNoSinkCalls) {
+  ManualClock clock(1'000'000);
+  RangeOwnership ranges = RangeOwnership::Uniform(1);
+  QueryMatcher matcher;
+  Changelog changelog(&clock, &ranges, &matcher);
+  int sink_calls = 0;
+  for (uint64_t id = 1; id <= 1000; ++id) {
+    matcher.Subscribe(id, "db", query::Query(model::ResourcePath(), "docs"),
+                      {0}, [&](uint64_t, const RangeEvent&) { ++sink_calls; });
+  }
+  for (int i = 0; i < 3; ++i) {
+    clock.AdvanceBy(5'000);
+    changelog.Tick();
+    EXPECT_EQ(matcher.watermark(0), clock.NowMicros());
+  }
+  EXPECT_EQ(sink_calls, 0);
 }
 
 }  // namespace

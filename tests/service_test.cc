@@ -430,13 +430,31 @@ TEST_F(ServiceTest, PumpGarbageCollectsOldVersionsButKeepsRetained) {
   ASSERT_TRUE(recent.ok() && recent->has_value());
   EXPECT_EQ((*recent)->GetField(Field("v"))->integer_value(), 4);
   // The pre-horizon history collapsed to its newest version (the base for
-  // horizon reads): version 1 is no longer distinguishable at t1.
+  // horizon reads): version 1 is no longer distinguishable at t1, so reads
+  // there fail instead of answering from the collapsed history.
   auto old_read = service_.Get(kDb, Path("/r/doc"), t1);
-  ASSERT_TRUE(old_read.ok());
-  if (old_read->has_value()) {
-    EXPECT_EQ((*old_read)->GetField(Field("v"))->integer_value(), 3);
+  EXPECT_EQ(old_read.status().code(), StatusCode::kFailedPrecondition);
+  auto old_query = service_.RunQuery(kDb, Query(model::ResourcePath(), "r"),
+                                     t3);
+  EXPECT_EQ(old_query.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ServiceTest, UnknownDatabaseRequestsMintNoTenantLabel) {
+  const std::string ghost = "projects/p/databases/ghost";
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(service_.Get(ghost, Path("/r/doc")).status().code(),
+              StatusCode::kNotFound);
   }
-  (void)t3;
+  for (const MetricSample& sample :
+       MetricRegistry::Global().Snapshot().samples) {
+    EXPECT_NE(sample.label, ghost) << sample.name;
+  }
+  // Requests to a real tenant are still counted.
+  const int64_t before =
+      testing::CounterValue("service.tenant.requests", kDb);
+  ASSERT_TRUE(service_.Get(kDb, Path("/r/doc")).ok());
+  EXPECT_EQ(testing::CounterValue("service.tenant.requests", kDb) - before,
+            1);
 }
 
 // ---------------------------------------------------------------------------

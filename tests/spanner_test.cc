@@ -348,6 +348,30 @@ TEST_F(SpannerTest, GarbageCollectionDropsOldVersions) {
   EXPECT_EQ(**db_.SnapshotRead("T", "k", t3), "v3");
 }
 
+TEST_F(SpannerTest, ReadsBelowGcHorizonFailInsteadOfReportingAbsent) {
+  Timestamp t1 = Put("k", "v1");
+  clock_.AdvanceBy(10);
+  Timestamp t2 = Put("k", "v2");
+  clock_.AdvanceBy(10);
+  db_.GarbageCollect(t2 + 1);
+  // Below the horizon the old version is gone: "absent" would be a lie.
+  auto old_read = db_.SnapshotRead("T", "k", t1);
+  EXPECT_EQ(old_read.status().code(), StatusCode::kFailedPrecondition);
+  auto old_scan = db_.SnapshotScan("T", "", "", t1);
+  EXPECT_EQ(old_scan.status().code(), StatusCode::kFailedPrecondition);
+  // At and above the horizon reads are unchanged.
+  EXPECT_EQ(**db_.SnapshotRead("T", "k", t2 + 1), "v2");
+  EXPECT_EQ(**db_.SnapshotRead("T", "k", db_.StrongReadTimestamp()), "v2");
+  auto scan = db_.SnapshotScan("T", "", "", t2 + 1);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->size(), 1u);
+  EXPECT_EQ((*scan)[0].value, "v2");
+  // The horizon never moves back.
+  db_.GarbageCollect(t1);
+  EXPECT_EQ(db_.SnapshotRead("T", "k", t1).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST_F(SpannerTest, GarbageCollectionRemovesDeadRows) {
   Put("k", "v1");
   auto txn = db_.BeginTransaction();

@@ -12,6 +12,7 @@
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "firestore/index/backfill.h"
 #include "firestore/index/catalog.h"
 #include "firestore/index/layout.h"
@@ -31,6 +32,13 @@ inline model::FieldPath Field(std::string_view s) {
   auto f = model::FieldPath::Parse(s);
   FS_CHECK(f.ok());
   return std::move(f).value();
+}
+
+// Current value of a registry counter. The registry is process-global, so
+// tests assert the difference across an action, not an absolute value.
+inline int64_t CounterValue(std::string_view name,
+                            std::string_view label = "") {
+  return MetricRegistry::Global().GetCounter(name, label).value();
 }
 
 // One tenant database wired to a fresh Spanner instance.
