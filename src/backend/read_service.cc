@@ -28,6 +28,23 @@ StatusOr<std::optional<Document>> ReadService::ReadDocumentAt(
   return std::optional<Document>(std::move(doc));
 }
 
+Status ReadService::AuthorizeList(const std::string& database_id,
+                                  const query::Query& q, Timestamp read_ts,
+                                  const rules::RuleSet* rules,
+                                  const rules::AuthContext* auth) const {
+  if (rules == nullptr) return Status::Ok();
+  rules::AccessRequest request;
+  request.kind = rules::AccessKind::kList;
+  // Authorize against a representative member of the collection: patterns
+  // like /restaurants/{id} match with {id} bound to "*".
+  request.path = q.CollectionPath().Child("*");
+  request.auth = auth != nullptr ? *auth : rules::AuthContext{};
+  request.lookup = [this, &database_id, read_ts](const ResourcePath& p) {
+    return ReadDocumentAt(database_id, p, read_ts);
+  };
+  return rules->Authorize(request);
+}
+
 StatusOr<std::optional<Document>> ReadService::GetDocument(
     const std::string& database_id, const ResourcePath& name,
     Timestamp read_ts, const rules::RuleSet* rules,
@@ -65,18 +82,7 @@ StatusOr<RunQueryResult> ReadService::RunQuery(
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
   // "The execution of a non-real-time query starts by verifying the
   // security rules for the collection specified in the query" (§IV-D3).
-  if (rules != nullptr) {
-    rules::AccessRequest request;
-    request.kind = rules::AccessKind::kList;
-    // Authorize against a representative member of the collection: patterns
-    // like /restaurants/{id} match with {id} bound to "*".
-    request.path = q.CollectionPath().Child("*");
-    request.auth = auth != nullptr ? *auth : rules::AuthContext{};
-    request.lookup = [this, &database_id, read_ts](const ResourcePath& p) {
-      return ReadDocumentAt(database_id, p, read_ts);
-    };
-    RETURN_IF_ERROR(rules->Authorize(request));
-  }
+  RETURN_IF_ERROR(AuthorizeList(database_id, q, read_ts, rules, auth));
   ASSIGN_OR_RETURN(query::QueryPlan plan,
                    query::PlanQuery(catalog, database_id, q));
   query::SnapshotRowReader reader(spanner_, read_ts);
@@ -104,16 +110,7 @@ StatusOr<RunCountResult> ReadService::RunCountQuery(
     const query::Query& q, Timestamp read_ts, const rules::RuleSet* rules,
     const rules::AuthContext* auth) {
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
-  if (rules != nullptr) {
-    rules::AccessRequest request;
-    request.kind = rules::AccessKind::kList;
-    request.path = q.CollectionPath().Child("*");
-    request.auth = auth != nullptr ? *auth : rules::AuthContext{};
-    request.lookup = [this, &database_id, read_ts](const ResourcePath& p) {
-      return ReadDocumentAt(database_id, p, read_ts);
-    };
-    RETURN_IF_ERROR(rules->Authorize(request));
-  }
+  RETURN_IF_ERROR(AuthorizeList(database_id, q, read_ts, rules, auth));
   ASSIGN_OR_RETURN(query::QueryPlan plan,
                    query::PlanQuery(catalog, database_id, q));
   query::SnapshotRowReader reader(spanner_, read_ts);
@@ -140,12 +137,15 @@ StatusOr<RunAggregateResult> ReadService::RunSumQuery(
     Timestamp read_ts) {
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
   query::Query effective = q;
-  // A filter-less query is routed onto the aggregated field's index so
-  // values decode straight from keys (documents missing the field have no
-  // entry there, matching aggregate semantics). Filtered queries keep their
-  // own plan; an inequality or order on the aggregated field also hits the
-  // key-decoding fast path naturally.
-  if (q.filters().empty() && q.order_by().empty()) {
+  // A filter-less, order-less query is routed onto the aggregated field's
+  // index so values decode straight from keys (documents missing the field
+  // have no entry there, matching aggregate semantics). Not when a limit,
+  // offset or cursor selects documents: those position in the query's own
+  // (name) order, which the rewrite would change. Filtered queries keep
+  // their own plan; an inequality or order on the aggregated field also
+  // hits the key-decoding fast path naturally.
+  if (q.filters().empty() && q.order_by().empty() && q.limit() == 0 &&
+      q.offset() == 0 && !q.start_cursor().has_value()) {
     effective.OrderByField(field);
   }
   ASSIGN_OR_RETURN(query::QueryPlan plan,

@@ -68,9 +68,9 @@ class ReadService {
       const rules::AuthContext* auth = nullptr);
 
   // SUM / AVG over a numeric field of the query's results. If the query has
-  // no explicit order and no inequality, it is transparently ordered by the
-  // aggregated field so the values decode straight from index keys (no
-  // document fetches).
+  // no filter, order, limit, offset or cursor, it is transparently ordered
+  // by the aggregated field so the values decode straight from index keys
+  // (no document fetches).
   StatusOr<RunAggregateResult> RunSumQuery(const std::string& database_id,
                                            index::IndexCatalog& catalog,
                                            const query::Query& q,
@@ -87,6 +87,12 @@ class ReadService {
       const query::Query& q, spanner::ReadWriteTransaction& txn);
 
  private:
+  // Security-rules check for listing `q`'s collection (paper §IV-D3); OK
+  // when `rules` is null (privileged access).
+  Status AuthorizeList(const std::string& database_id, const query::Query& q,
+                       spanner::Timestamp read_ts,
+                       const rules::RuleSet* rules,
+                       const rules::AuthContext* auth) const;
   StatusOr<std::optional<model::Document>> ReadDocumentAt(
       const std::string& database_id, const model::ResourcePath& name,
       spanner::Timestamp read_ts) const;

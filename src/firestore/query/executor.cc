@@ -12,7 +12,6 @@ namespace firestore::query {
 
 using model::Document;
 using model::FieldPath;
-using model::Map;
 using model::ResourcePath;
 using model::Value;
 
@@ -32,18 +31,60 @@ Document ApplyProjection(const Query& query, Document doc) {
   return projected;
 }
 
-// Accumulates verified documents while honoring offset/limit. Returns true
-// while more results are wanted.
+// Index scans bound most predicates exactly; the residual checks a count
+// must perform per candidate are collection membership (the index spans the
+// whole collection group) and — never, thanks to the contradiction check
+// below — repeated equality filters on one field.
+bool HasContradictoryEqualities(const Query& query) {
+  const auto& filters = query.filters();
+  for (size_t i = 0; i < filters.size(); ++i) {
+    if (filters[i].op != Operator::kEqual) continue;
+    for (size_t j = i + 1; j < filters.size(); ++j) {
+      if (filters[j].op != Operator::kEqual) continue;
+      if (filters[i].field == filters[j].field &&
+          filters[i].value.Compare(filters[j].value) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void Accumulate(const Value& v, AggregateResult* agg) {
+  if (!v.is_number()) return;  // non-numeric values are ignored
+  ++agg->count;
+  if (v.is_integer() && agg->is_integer) {
+    agg->sum_integer += v.integer_value();
+  } else {
+    if (agg->is_integer) {
+      // Switch representation, carrying the integral prefix.
+      agg->sum_double = static_cast<double>(agg->sum_integer);
+      agg->is_integer = false;
+    }
+    agg->sum_double += v.AsDouble();
+  }
+}
+
+// Whether `name` is a document directly inside `collection`, compared in
+// place (no Parent() copy per candidate row).
+bool InCollection(const ResourcePath& name, const ResourcePath& collection) {
+  return name.size() == collection.size() + 1 && collection.IsPrefixOf(name);
+}
+
+// Accumulates verified documents while honoring offset/limit.
 class ResultCollector {
  public:
   ResultCollector(const Query& query, QueryResult* out)
       : query_(query), out_(out), to_skip_(query.offset()) {}
 
   // Candidate document name produced by the plan; fetches + verifies it.
-  // Sets *done when the limit has been reached.
-  Status Add(RowReader& reader, std::string_view database_id,
-             const ResourcePath& name, bool* done) {
-    *done = false;
+  // Returns whether more results are wanted (false once the limit is met).
+  StatusOr<bool> Add(RowReader& reader, std::string_view database_id,
+                     const ResourcePath& name) {
+    // Every plan shape reads the document here, a collection scan too,
+    // although its Entities row already carried it: inside a transaction
+    // this is the read taken under the row's shared lock, whereas
+    // RowReader::Scan reads rows before it locks them.
     spanner::Timestamp version = 0;
     ASSIGN_OR_RETURN(spanner::RowValue row,
                      reader.Read(index::kEntitiesTable,
@@ -54,21 +95,18 @@ class ResultCollector {
       // Index entry without a document: tolerated here (the write path keeps
       // them consistent; a race with a concurrent snapshot cannot happen at
       // a fixed timestamp).
-      return Status::Ok();
+      return true;
     }
     ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(*row));
     codec::ResolveDocumentTimestamps(doc, version);
-    if (!query_.Matches(doc)) return Status::Ok();
+    if (!query_.Matches(doc)) return true;
     if (to_skip_ > 0) {
       --to_skip_;
-      return Status::Ok();
+      return true;
     }
     out_->documents.push_back(ApplyProjection(query_, std::move(doc)));
-    if (query_.limit() > 0 &&
-        static_cast<int64_t>(out_->documents.size()) >= query_.limit()) {
-      *done = true;
-    }
-    return Status::Ok();
+    return query_.limit() == 0 ||
+           static_cast<int64_t>(out_->documents.size()) < query_.limit();
   }
 
  private:
@@ -96,10 +134,7 @@ class IndexScanIterator {
       return false;
     }
     ++stats_->index_rows_scanned;
-    if (rows->empty()) {
-      exhausted_ = true;
-      return false;
-    }
+    if (rows->empty()) return false;
     current_key_ = (*rows)[0].key;
     return true;
   }
@@ -110,13 +145,11 @@ class IndexScanIterator {
   std::string_view suffix() const {
     return std::string_view(current_key_).substr(scan_.prefix_len);
   }
-  const std::string& current_key() const { return current_key_; }
   // Absolute key for a given suffix in this scan's key space.
   std::string KeyForSuffix(std::string_view suffix) const {
     return current_key_.substr(0, scan_.prefix_len) + std::string(suffix);
   }
 
-  bool exhausted() const { return exhausted_; }
   const Status& status() const { return status_; }
 
  private:
@@ -124,85 +157,60 @@ class IndexScanIterator {
   const IndexScan& scan_;
   QueryStats* stats_;
   std::string current_key_;
-  bool exhausted_ = false;
   Status status_;
 };
 
-bool OverBudget(const ExecOptions& options, QueryResult* out) {
-  if (options.max_index_rows > 0 &&
-      out->stats.index_rows_scanned >= options.max_index_rows) {
-    out->reached_scan_limit = true;
-    return true;
-  }
-  return false;
-}
-
-Status RunCollectionScan(RowReader& reader, std::string_view database_id,
-                         const Query& query, const QueryPlan& plan,
-                         const ExecOptions& options, QueryResult* out) {
-  ResultCollector collector(query, out);
-  std::string start = plan.entities_start;
-  while (true) {
-    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                     reader.Scan(index::kEntitiesTable, start,
-                                 plan.entities_limit, kScanBatch));
-    if (rows.empty()) return Status::Ok();
-    for (const spanner::ScanRow& row : rows) {
-      out->stats.index_rows_scanned++;
-      ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(row.value));
-      codec::ResolveDocumentTimestamps(doc, row.version);
-      if (query.Matches(doc)) {
-        bool done = false;
-        RETURN_IF_ERROR(
-            collector.Add(reader, database_id, doc.name(), &done));
-        if (done) return Status::Ok();
+// Runs `plan` in one of the two shapes of paper §IV-D3 and feeds `visit`,
+// in plan order, the (order values..., name) suffix of every candidate row
+// together with the document name parsed off it. `visit(suffix, name)`
+// returns StatusOr<bool>; false stops the walk. Candidates are not yet
+// scoped to the query's collection: index entries span the collection
+// group, and an Entities range also holds subcollection documents.
+//
+// A single-index plan is one paged range over IndexEntries. A collection
+// scan is the same range over Entities: an Entities key is bytes(database)
+// + path, so past the database prefix its suffix is the name alone. Plans
+// with more scans are leapfrog (zig-zag) joined on the shared suffix.
+template <typename Visit>
+Status WalkPlan(RowReader& reader, std::string_view database_id,
+                const QueryPlan& plan, QueryStats* stats, Visit&& visit) {
+  ResourcePath name;
+  if (plan.collection_scan || plan.scans.size() == 1) {
+    const bool entities = plan.collection_scan;
+    const std::string table =
+        entities ? index::kEntitiesTable : index::kIndexEntriesTable;
+    const std::string& limit =
+        entities ? plan.entities_limit : plan.scans[0].limit_key;
+    const size_t prefix_len =
+        entities ? index::EntityKeyPrefixForDatabase(database_id).size()
+                 : plan.scans[0].prefix_len;
+    std::string start =
+        entities ? plan.entities_start : plan.scans[0].start_key;
+    while (true) {
+      ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
+                       reader.Scan(table, start, limit, kScanBatch));
+      if (rows.empty()) return Status::Ok();
+      for (const spanner::ScanRow& row : rows) {
+        ++stats->index_rows_scanned;
+        std::string_view suffix =
+            std::string_view(row.key).substr(prefix_len);
+        if (!index::ParseIndexEntryName(suffix, plan.suffix_directions,
+                                        &name)) {
+          return InternalError("corrupt " + table + " key");
+        }
+        ASSIGN_OR_RETURN(bool more, visit(suffix, name));
+        if (!more) return Status::Ok();
       }
-      if (OverBudget(options, out)) return Status::Ok();
+      start = KeySuccessor(rows.back().key);
     }
-    start = KeySuccessor(rows.back().key);
   }
-}
 
-Status RunSingleScan(RowReader& reader, std::string_view database_id,
-                     const Query& query, const QueryPlan& plan,
-                     const ExecOptions& options, QueryResult* out) {
-  const IndexScan& scan = plan.scans[0];
-  ResultCollector collector(query, out);
-  std::string start = scan.start_key;
-  while (true) {
-    ASSIGN_OR_RETURN(
-        std::vector<spanner::ScanRow> rows,
-        reader.Scan(index::kIndexEntriesTable, start, scan.limit_key,
-                    kScanBatch));
-    if (rows.empty()) return Status::Ok();
-    for (const spanner::ScanRow& row : rows) {
-      out->stats.index_rows_scanned++;
-      std::string_view suffix =
-          std::string_view(row.key).substr(scan.prefix_len);
-      ResourcePath name;
-      if (!index::ParseIndexEntryName(suffix, plan.suffix_directions,
-                                      &name)) {
-        return InternalError("corrupt index entry key");
-      }
-      bool done = false;
-      RETURN_IF_ERROR(collector.Add(reader, database_id, name, &done));
-      if (done) return Status::Ok();
-      if (OverBudget(options, out)) return Status::Ok();
-    }
-    start = KeySuccessor(rows.back().key);
-  }
-}
-
-Status RunZigZagJoin(RowReader& reader, std::string_view database_id,
-                     const Query& query, const QueryPlan& plan,
-                     const ExecOptions& options, QueryResult* out) {
-  ResultCollector collector(query, out);
+  FS_CHECK_GT(plan.scans.size(), 1u);
   std::vector<IndexScanIterator> iters;
   iters.reserve(plan.scans.size());
   for (const IndexScan& scan : plan.scans) {
-    iters.emplace_back(reader, scan, &out->stats);
+    iters.emplace_back(reader, scan, stats);
   }
-  // Initial positioning.
   for (IndexScanIterator& it : iters) {
     if (!it.SeekGE(std::string())) {
       return it.status();  // OK status == some scan is simply empty
@@ -219,14 +227,12 @@ Status RunZigZagJoin(RowReader& reader, std::string_view database_id,
       }
     }
     if (all_equal) {
-      ResourcePath name;
       if (!index::ParseIndexEntryName(max_suffix, plan.suffix_directions,
                                       &name)) {
         return InternalError("corrupt index entry key in join");
       }
-      bool done = false;
-      RETURN_IF_ERROR(collector.Add(reader, database_id, name, &done));
-      if (done || OverBudget(options, out)) return Status::Ok();
+      ASSIGN_OR_RETURN(bool more, visit(max_suffix, name));
+      if (!more) return Status::Ok();
       for (IndexScanIterator& it : iters) {
         if (!it.Next()) return it.status();
       }
@@ -249,17 +255,23 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
                                    const Query& query, const QueryPlan& plan,
                                    ExecOptions options) {
   QueryResult result;
-  Status s;
-  if (plan.collection_scan) {
-    s = RunCollectionScan(reader, database_id, query, plan, options,
-                          &result);
-  } else if (plan.scans.size() == 1) {
-    s = RunSingleScan(reader, database_id, query, plan, options, &result);
-  } else {
-    FS_CHECK_GT(plan.scans.size(), 1u);
-    s = RunZigZagJoin(reader, database_id, query, plan, options, &result);
-  }
-  if (!s.ok()) return s;
+  ResultCollector collector(query, &result);
+  const ResourcePath collection = query.CollectionPath();
+  RETURN_IF_ERROR(WalkPlan(
+      reader, database_id, plan, &result.stats,
+      [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
+        if (InCollection(name, collection)) {
+          ASSIGN_OR_RETURN(bool more,
+                           collector.Add(reader, database_id, name));
+          if (!more) return false;
+        }
+        if (options.max_index_rows > 0 &&
+            result.stats.index_rows_scanned >= options.max_index_rows) {
+          result.reached_scan_limit = true;
+          return false;
+        }
+        return true;
+      }));
   return result;
 }
 
@@ -271,33 +283,6 @@ StatusOr<QueryResult> PlanAndExecute(index::IndexCatalog& catalog,
   return ExecuteQuery(reader, database_id, query, plan);
 }
 
-namespace {
-
-// Index scans bound most predicates exactly; the residual checks a count
-// must perform per candidate are collection membership (the index spans the
-// whole collection group) and — never, thanks to the contradiction check
-// below — repeated equality filters on one field.
-bool HasContradictoryEqualities(const Query& query) {
-  const auto& filters = query.filters();
-  for (size_t i = 0; i < filters.size(); ++i) {
-    if (filters[i].op != Operator::kEqual) continue;
-    for (size_t j = i + 1; j < filters.size(); ++j) {
-      if (filters[j].op != Operator::kEqual) continue;
-      if (filters[i].field == filters[j].field &&
-          filters[i].value.Compare(filters[j].value) != 0) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-bool NameInCollection(const ResourcePath& name, const ResourcePath& parent) {
-  return name.Parent() == parent;
-}
-
-}  // namespace
-
 StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
                                         std::string_view database_id,
                                         const Query& query,
@@ -305,127 +290,19 @@ StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
   CountResult result;
   if (HasContradictoryEqualities(query)) return result;  // provably empty
   const ResourcePath collection = query.CollectionPath();
+  // The name is recoverable from the key alone; no document is fetched.
   int64_t matches = 0;
-
-  if (plan.collection_scan) {
-    std::string start = plan.entities_start;
-    std::string db_prefix = index::EntityKeyPrefixForDatabase(database_id);
-    while (true) {
-      ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                       reader.Scan(index::kEntitiesTable, start,
-                                   plan.entities_limit, kScanBatch));
-      if (rows.empty()) break;
-      for (const spanner::ScanRow& row : rows) {
-        ++result.stats.index_rows_scanned;
-        // The name is recoverable from the key alone; the document payload
-        // is never inspected.
-        std::string_view suffix;
-        ResourcePath name;
-        if (!index::IndexEntrySuffix(row.key, db_prefix, &suffix) ||
-            !codec::ParseResourcePath(&suffix, &name)) {
-          return InternalError("corrupt entity key");
-        }
-        if (NameInCollection(name, collection)) ++matches;
-      }
-      start = KeySuccessor(rows.back().key);
-    }
-  } else if (plan.scans.size() == 1) {
-    const IndexScan& scan = plan.scans[0];
-    std::string start = scan.start_key;
-    while (true) {
-      ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                       reader.Scan(index::kIndexEntriesTable, start,
-                                   scan.limit_key, kScanBatch));
-      if (rows.empty()) break;
-      for (const spanner::ScanRow& row : rows) {
-        ++result.stats.index_rows_scanned;
-        std::string_view suffix =
-            std::string_view(row.key).substr(scan.prefix_len);
-        ResourcePath name;
-        if (!index::ParseIndexEntryName(suffix, plan.suffix_directions,
-                                        &name)) {
-          return InternalError("corrupt index entry key");
-        }
-        if (NameInCollection(name, collection)) ++matches;
-      }
-      start = KeySuccessor(rows.back().key);
-    }
-  } else {
-    std::vector<IndexScanIterator> iters;
-    iters.reserve(plan.scans.size());
-    for (const IndexScan& scan : plan.scans) {
-      iters.emplace_back(reader, scan, &result.stats);
-    }
-    bool alive = true;
-    for (IndexScanIterator& it : iters) {
-      if (!it.SeekGE(std::string())) {
-        RETURN_IF_ERROR(it.status());
-        alive = false;
-        break;
-      }
-    }
-    while (alive) {
-      std::string_view max_suffix = iters[0].suffix();
-      bool all_equal = true;
-      for (IndexScanIterator& it : iters) {
-        if (it.suffix() != max_suffix) {
-          all_equal = false;
-          if (it.suffix() > max_suffix) max_suffix = it.suffix();
-        }
-      }
-      if (all_equal) {
-        ResourcePath name;
-        if (!index::ParseIndexEntryName(max_suffix, plan.suffix_directions,
-                                        &name)) {
-          return InternalError("corrupt index entry key in join");
-        }
-        if (NameInCollection(name, collection)) ++matches;
-        for (IndexScanIterator& it : iters) {
-          if (!it.Next()) {
-            RETURN_IF_ERROR(it.status());
-            alive = false;
-            break;
-          }
-        }
-        continue;
-      }
-      std::string target(max_suffix);
-      for (IndexScanIterator& it : iters) {
-        if (it.suffix() < target) {
-          if (!it.SeekGE(it.KeyForSuffix(target))) {
-            RETURN_IF_ERROR(it.status());
-            alive = false;
-            break;
-          }
-        }
-      }
-    }
-  }
-
+  RETURN_IF_ERROR(WalkPlan(
+      reader, database_id, plan, &result.stats,
+      [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
+        if (InCollection(name, collection)) ++matches;
+        return true;
+      }));
   matches = std::max<int64_t>(0, matches - query.offset());
   if (query.limit() > 0) matches = std::min<int64_t>(matches, query.limit());
   result.count = matches;
   return result;
 }
-
-namespace {
-
-void Accumulate(const Value& v, AggregateResult* agg) {
-  if (!v.is_number()) return;  // non-numeric values are ignored
-  ++agg->count;
-  if (v.is_integer() && agg->is_integer) {
-    agg->sum_integer += v.integer_value();
-  } else {
-    if (agg->is_integer) {
-      // Switch representation, carrying the integral prefix.
-      agg->sum_double = static_cast<double>(agg->sum_integer);
-      agg->is_integer = false;
-    }
-    agg->sum_double += v.AsDouble();
-  }
-}
-
-}  // namespace
 
 StatusOr<AggregateResult> ExecuteSumQuery(RowReader& reader,
                                           std::string_view database_id,
@@ -441,41 +318,27 @@ StatusOr<AggregateResult> ExecuteSumQuery(RowReader& reader,
   if (!plan.collection_scan && plan.scans.size() == 1 &&
       !plan.scans[0].suffix_fields.empty() &&
       plan.scans[0].suffix_fields[0] == field) {
-    const IndexScan& scan = plan.scans[0];
+    const bool descending = plan.suffix_directions[0];
     int64_t skipped = 0, taken = 0;
-    std::string start = scan.start_key;
-    while (true) {
-      ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                       reader.Scan(index::kIndexEntriesTable, start,
-                                   scan.limit_key, kScanBatch));
-      if (rows.empty()) return agg;
-      for (const spanner::ScanRow& row : rows) {
-        ++agg.stats.index_rows_scanned;
-        std::string_view suffix =
-            std::string_view(row.key).substr(scan.prefix_len);
-        Value value;
-        bool ok = plan.suffix_directions[0]
-                      ? codec::ParseValueDesc(&suffix, &value)
-                      : codec::ParseValueAsc(&suffix, &value);
-        if (!ok) return InternalError("corrupt index entry value");
-        // Remaining suffix components + name.
-        ResourcePath name;
-        std::vector<bool> rest(plan.suffix_directions.begin() + 1,
-                               plan.suffix_directions.end());
-        if (!index::ParseIndexEntryName(suffix, rest, &name)) {
-          return InternalError("corrupt index entry key");
-        }
-        if (!NameInCollection(name, collection)) continue;
-        if (skipped < query.offset()) {
-          ++skipped;
-          continue;
-        }
-        if (query.limit() > 0 && taken >= query.limit()) return agg;
-        ++taken;
-        Accumulate(value, &agg);
-      }
-      start = KeySuccessor(rows.back().key);
-    }
+    RETURN_IF_ERROR(WalkPlan(
+        reader, database_id, plan, &agg.stats,
+        [&](std::string_view suffix,
+            const ResourcePath& name) -> StatusOr<bool> {
+          if (!InCollection(name, collection)) return true;
+          if (skipped < query.offset()) {
+            ++skipped;
+            return true;
+          }
+          if (query.limit() > 0 && taken >= query.limit()) return false;
+          ++taken;
+          Value value;
+          bool ok = descending ? codec::ParseValueDesc(&suffix, &value)
+                               : codec::ParseValueAsc(&suffix, &value);
+          if (!ok) return InternalError("corrupt index entry value");
+          Accumulate(value, &agg);
+          return true;
+        }));
+    return agg;
   }
 
   // General path: run the underlying query (without projection, so the

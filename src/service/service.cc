@@ -233,6 +233,7 @@ StatusOr<backend::RunCountResult> FirestoreService::RunCountQuery(
     Timestamp read_ts) {
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   return reader_.RunCountQuery(database_id, tenant->catalog, q, read_ts);
 }
 
@@ -241,6 +242,7 @@ StatusOr<backend::RunAggregateResult> FirestoreService::RunSumQuery(
     const model::FieldPath& field, Timestamp read_ts) {
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   return reader_.RunSumQuery(database_id, tenant->catalog, q, field,
                              read_ts);
 }
@@ -279,6 +281,7 @@ StatusOr<std::optional<Document>> FirestoreService::GetAsUser(
     const ResourcePath& name) {
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   if (tenant->rules == nullptr) {
     return PermissionDeniedError(
         "third-party access requires security rules");
@@ -292,6 +295,7 @@ StatusOr<backend::RunQueryResult> FirestoreService::RunQueryAsUser(
     const query::Query& q) {
   ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
                    GetTenant(database_id));
+  tenant->requests->Increment();
   if (tenant->rules == nullptr) {
     return PermissionDeniedError(
         "third-party access requires security rules");

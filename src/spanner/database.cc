@@ -58,18 +58,8 @@ StatusOr<std::vector<ScanRow>> ReadWriteTransaction::Scan(
   std::vector<ScanRow> rows;
   {
     ReaderMutexLock data_lock(&db_->data_mu_);
-    auto table_it = db_->tables_.find(table);
-    if (table_it == db_->tables_.end()) {
-      return NotFoundError("no such table: " + table);
-    }
-    table_it->second->ScanAt(start, limit, kMaxTimestamp,
-                             [&](const Key& k, const std::string& v,
-                                 Timestamp ver) {
-                               rows.push_back({k, v, ver});
-                               return max_rows == 0 ||
-                                      static_cast<int64_t>(rows.size()) <
-                                          max_rows;
-                             });
+    ASSIGN_OR_RETURN(rows, db_->ScanLocked(table, start, limit,
+                                           kMaxTimestamp, max_rows));
   }
   // Merge this transaction's buffered writes within the range.
   auto tit = writes_.find(table);
@@ -249,6 +239,12 @@ StatusOr<std::vector<ScanRow>> Database::SnapshotScan(
   RETURN_IF_ERROR(FS_FAULT_POINT("spanner.snapshot.scan"));
   ReaderMutexLock lock(&data_mu_);
   RETURN_IF_ERROR(CheckReadTimestampLocked(ts));
+  return ScanLocked(table, start, limit, ts, max_rows);
+}
+
+StatusOr<std::vector<ScanRow>> Database::ScanLocked(
+    const std::string& table, const Key& start, const Key& limit,
+    Timestamp ts, int64_t max_rows) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) return NotFoundError("no such table: " + table);
   std::vector<ScanRow> rows;

@@ -175,6 +175,13 @@ class Database {
 
   Status CheckReadTimestampLocked(Timestamp ts) const
       FS_REQUIRES_SHARED(data_mu_);
+  // Up to `max_rows` (0 = all) live rows of `table` in [start, limit) at
+  // `ts`, in key order.
+  StatusOr<std::vector<ScanRow>> ScanLocked(const std::string& table,
+                                            const Key& start,
+                                            const Key& limit, Timestamp ts,
+                                            int64_t max_rows) const
+      FS_REQUIRES_SHARED(data_mu_);
 };
 
 }  // namespace firestore::spanner

@@ -49,11 +49,10 @@ RowValue Tablet::ReadAt(const Key& key, Timestamp ts,
   return it->second;
 }
 
-int64_t Tablet::ScanAt(
+bool Tablet::ScanAt(
     const Key& start, const Key& limit, Timestamp ts,
     const std::function<bool(const Key&, const std::string&, Timestamp)>& cb)
     const {
-  int64_t visited = 0;
   auto it = rows_.lower_bound(std::max(start, start_key_));
   for (; it != rows_.end(); ++it) {
     if (!limit.empty() && it->first >= limit) break;
@@ -63,12 +62,11 @@ int64_t Tablet::ScanAt(
     if (vit == versions.begin()) continue;
     --vit;
     if (!vit->second.has_value()) continue;  // tombstone
-    ++visited;
     ++stats_.reads;
     FS_METRIC_COUNTER("spanner.rows.scanned").Increment();
-    if (!cb(it->first, *vit->second, vit->first)) break;
+    if (!cb(it->first, *vit->second, vit->first)) return true;
   }
-  return visited;
+  return false;
 }
 
 std::unique_ptr<Tablet> Tablet::SplitAt(const Key& split_key) {
@@ -162,17 +160,10 @@ void Table::ScanAt(
     const Key& start, const Key& limit, Timestamp ts,
     const std::function<bool(const Key&, const std::string&, Timestamp)>& cb)
     const {
-  bool stopped = false;
-  auto wrapped = [&](const Key& k, const std::string& v, Timestamp ver) {
-    bool cont = cb(k, v, ver);
-    if (!cont) stopped = true;
-    return cont;
-  };
   for (size_t i = TabletIndexForKey(start); i < tablets_.size(); ++i) {
     const Tablet& tablet = *tablets_[i];
     if (!limit.empty() && tablet.start_key() >= limit) break;
-    tablet.ScanAt(start, limit, ts, wrapped);
-    if (stopped) break;
+    if (tablet.ScanAt(start, limit, ts, cb)) break;
   }
 }
 

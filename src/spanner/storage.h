@@ -61,10 +61,10 @@ class Tablet {
 
   // In-order scan of live rows in [start, limit) at `ts`. `limit` empty =
   // unbounded. Callback (key, value, version) returns false to stop.
-  // Returns rows visited.
-  int64_t ScanAt(const Key& start, const Key& limit, Timestamp ts,
-                 const std::function<bool(const Key&, const std::string&,
-                                          Timestamp)>& cb) const;
+  // Returns whether the callback stopped the scan.
+  bool ScanAt(const Key& start, const Key& limit, Timestamp ts,
+              const std::function<bool(const Key&, const std::string&,
+                                       Timestamp)>& cb) const;
 
   // Splits this tablet at `split_key` (must lie strictly inside the range);
   // returns the new upper tablet.
@@ -104,7 +104,7 @@ class Table {
   RowValue ReadAt(const Key& key, Timestamp ts,
                   Timestamp* version = nullptr) const;
 
-  // Scans across tablets; same contract as Tablet::ScanAt.
+  // Scans across tablets; same callback contract as Tablet::ScanAt.
   void ScanAt(const Key& start, const Key& limit, Timestamp ts,
               const std::function<bool(const Key&, const std::string&,
                                        Timestamp)>& cb) const;

@@ -392,6 +392,18 @@ TEST_P(QueryPropertyTest, ExecutorAgreesWithBruteForce) {
     model::Document doc(testing::Path(path), fields);
     corpus.push_back(doc);
   }
+  // Same collection id, another parent: every plan shape scans these rows
+  // (collection-group index entries, or Entities keys under /docs/d0) and
+  // must scope them out.
+  for (int i = 0; i < 5; ++i) {
+    Map fields;
+    fields["city"] = Value::String(cities[i % 3]);
+    fields["rating"] = Value::Integer(i);
+    fields["pop"] = Value::Integer(20 * i);
+    std::string path = "/docs/d0/docs/e" + std::to_string(i);
+    t.Put(path, fields);
+    corpus.push_back(model::Document(testing::Path(path), fields));
+  }
   // A set of random but valid queries.
   for (int iter = 0; iter < 25; ++iter) {
     Query q(model::ResourcePath(), "docs");
@@ -406,6 +418,7 @@ TEST_P(QueryPropertyTest, ExecutorAgreesWithBruteForce) {
       q.Where(Field("pop"), op, Value::Integer(rng.Uniform(0, 100)));
     }
     if (rng.Bernoulli(0.3)) q.Limit(rng.Uniform(1, 10));
+    if (rng.Bernoulli(0.3)) q.Offset(rng.Uniform(1, 3));
     // Brute force.
     std::vector<model::Document> expected;
     for (const auto& doc : corpus) {
@@ -415,9 +428,19 @@ TEST_P(QueryPropertyTest, ExecutorAgreesWithBruteForce) {
               [&](const model::Document& a, const model::Document& b) {
                 return q.Compare(a, b) < 0;
               });
+    const int64_t matched = static_cast<int64_t>(expected.size());
+    expected.erase(expected.begin(),
+                   expected.begin() + std::min(q.offset(), matched));
     if (q.limit() > 0 &&
         static_cast<int64_t>(expected.size()) > q.limit()) {
       expected.resize(q.limit());
+    }
+    int64_t pop_sum = 0, pop_count = 0;
+    for (const auto& doc : expected) {
+      std::optional<Value> pop = doc.GetField(Field("pop"));
+      if (!pop.has_value()) continue;
+      pop_sum += pop->integer_value();
+      ++pop_count;
     }
     auto run = t.Run(q);
     if (!run.ok()) {
@@ -433,6 +456,15 @@ TEST_P(QueryPropertyTest, ExecutorAgreesWithBruteForce) {
                 expected[i].name().CanonicalString())
           << q.CanonicalString() << " position " << i;
     }
+    auto count = t.reader().RunCountQuery(t.id(), t.catalog(), q);
+    ASSERT_TRUE(count.ok()) << q.CanonicalString() << ": " << count.status();
+    EXPECT_EQ(count->count, static_cast<int64_t>(expected.size()))
+        << q.CanonicalString();
+    auto sum = t.reader().RunSumQuery(t.id(), t.catalog(), q, Field("pop"));
+    ASSERT_TRUE(sum.ok()) << q.CanonicalString() << ": " << sum.status();
+    EXPECT_TRUE(sum->aggregate.is_integer) << q.CanonicalString();
+    EXPECT_EQ(sum->aggregate.sum_integer, pop_sum) << q.CanonicalString();
+    EXPECT_EQ(sum->aggregate.count, pop_count) << q.CanonicalString();
   }
 }
 

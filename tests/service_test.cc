@@ -457,6 +457,67 @@ TEST_F(ServiceTest, UnknownDatabaseRequestsMintNoTenantLabel) {
             1);
 }
 
+TEST_F(ServiceTest, EveryDataPlaneRequestCountsOncePerTenant) {
+  ASSERT_TRUE(service_
+                  .SetRules(kDb, R"(
+                    match /r/{id} {
+                      allow read, write: if request.auth.uid == 'alice';
+                    }
+                  )")
+                  .ok());
+  Put("/r/doc", {{"n", Value::Integer(1)}});
+  rules::AuthContext alice;
+  alice.authenticated = true;
+  alice.uid = "alice";
+  const Query q(model::ResourcePath(), "r");
+  const std::vector<std::pair<std::string, std::function<bool()>>> calls = {
+      {"Commit",
+       [&] {
+         return service_
+             .Commit(kDb, {Mutation::Set(Path("/r/doc"),
+                                         {{"n", Value::Integer(2)}})})
+             .ok();
+       }},
+      {"Get", [&] { return service_.Get(kDb, Path("/r/doc")).ok(); }},
+      {"RunQuery", [&] { return service_.RunQuery(kDb, q).ok(); }},
+      {"RunCountQuery", [&] { return service_.RunCountQuery(kDb, q).ok(); }},
+      {"RunSumQuery",
+       [&] { return service_.RunSumQuery(kDb, q, Field("n")).ok(); }},
+      {"RunTransaction",
+       [&] {
+         return service_
+             .RunTransaction(kDb,
+                             [](spanner::ReadWriteTransaction&)
+                                 -> StatusOr<std::vector<Mutation>> {
+                               return std::vector<Mutation>{Mutation::Set(
+                                   Path("/r/doc"),
+                                   {{"n", Value::Integer(4)}})};
+                             })
+             .ok();
+       }},
+      {"CommitAsUser",
+       [&] {
+         return service_
+             .CommitAsUser(kDb, alice,
+                           {Mutation::Set(Path("/r/doc"),
+                                          {{"n", Value::Integer(3)}})})
+             .ok();
+       }},
+      {"GetAsUser",
+       [&] { return service_.GetAsUser(kDb, alice, Path("/r/doc")).ok(); }},
+      {"RunQueryAsUser",
+       [&] { return service_.RunQueryAsUser(kDb, alice, q).ok(); }},
+  };
+  for (const auto& [name, call] : calls) {
+    const int64_t before =
+        testing::CounterValue("service.tenant.requests", kDb);
+    ASSERT_TRUE(call()) << name;
+    EXPECT_EQ(testing::CounterValue("service.tenant.requests", kDb) - before,
+              1)
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control and isolation tooling (§VI)
 
