@@ -4,19 +4,24 @@
 
 namespace firestore::model {
 
-std::optional<Value> Document::GetField(const FieldPath& path) const {
-  if (path.empty()) return std::nullopt;
+const Value* Document::FindField(const FieldPath& path) const {
+  if (path.empty()) return nullptr;
   const Map* current = &fields_;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     auto it = current->find(path.segments()[i]);
     if (it == current->end() || it->second.type() != ValueType::kMap) {
-      return std::nullopt;
+      return nullptr;
     }
     current = &it->second.map_value();
   }
   auto it = current->find(path.segments().back());
-  if (it == current->end()) return std::nullopt;
-  return it->second;
+  return it == current->end() ? nullptr : &it->second;
+}
+
+std::optional<Value> Document::GetField(const FieldPath& path) const {
+  const Value* value = FindField(path);
+  if (value == nullptr) return std::nullopt;
+  return *value;
 }
 
 void Document::SetField(const FieldPath& path, Value value) {

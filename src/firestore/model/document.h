@@ -31,8 +31,11 @@ class Document {
   void set_create_time(int64_t t) { create_time_ = t; }
   void set_update_time(int64_t t) { update_time_ = t; }
 
-  // Looks up a (possibly nested) field; nullopt if absent or if the path
-  // traverses a non-map.
+  // Looks up a (possibly nested) field in place; nullptr if absent or if
+  // the path traverses a non-map. The pointer lives as long as the field.
+  const Value* FindField(const FieldPath& path) const;
+
+  // FindField, copied out; nullopt if absent.
   std::optional<Value> GetField(const FieldPath& path) const;
 
   // Sets a (possibly nested) field, creating intermediate maps.
@@ -49,8 +52,8 @@ class Document {
   Status Validate() const;
 
   bool operator==(const Document& other) const {
-    return name_ == other.name_ && Value::FromMap(fields_) ==
-                                       Value::FromMap(other.fields_);
+    // Map equality compares values with Value::operator==, so 3 == 3.0.
+    return name_ == other.name_ && fields_ == other.fields_;
   }
 
   std::string ToString() const;

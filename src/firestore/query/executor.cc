@@ -349,8 +349,7 @@ StatusOr<AggregateResult> ExecuteSumQuery(RowReader& reader,
                    ExecuteQuery(reader, database_id, fetch, plan));
   agg.stats = result.stats;
   for (const Document& doc : result.documents) {
-    std::optional<Value> v = doc.GetField(field);
-    if (v.has_value()) Accumulate(*v, &agg);
+    if (const Value* v = doc.FindField(field)) Accumulate(*v, &agg);
   }
   return agg;
 }

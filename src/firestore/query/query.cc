@@ -168,43 +168,71 @@ Status Query::Validate() const {
   return Status::Ok();
 }
 
+namespace {
+
+// The field an inequality filter orders by when no explicit order-by is
+// given (Validate() guarantees the first explicit order matches otherwise);
+// nullptr when nothing is implied.
+const FieldPath* ImpliedOrderField(const std::vector<FieldFilter>& filters,
+                                   const std::vector<OrderBy>& order_by) {
+  if (!order_by.empty()) return nullptr;
+  for (const FieldFilter& f : filters) {
+    if (f.IsInequality()) return &f.field;
+  }
+  return nullptr;
+}
+
+// One component of Compare(). Matches() guarantees presence; be defensive
+// anyway: a document missing the field sorts before one that has it.
+int CompareOn(const FieldPath& field, bool descending, const Document& a,
+              const Document& b) {
+  const Value* va = a.FindField(field);
+  const Value* vb = b.FindField(field);
+  if (va == nullptr || vb == nullptr) {
+    return static_cast<int>(va != nullptr) - static_cast<int>(vb != nullptr);
+  }
+  int c = va->Compare(*vb);
+  return descending ? -c : c;
+}
+
+}  // namespace
+
 std::vector<OrderBy> Query::NormalizedOrderBy() const {
   std::vector<OrderBy> result = order_by_;
-  for (const FieldFilter& f : filters_) {
-    if (f.IsInequality()) {
-      if (result.empty()) {
-        result.push_back({f.field, false});
-      }
-      break;  // Validate() guarantees first order matches otherwise
-    }
+  if (const FieldPath* implied = ImpliedOrderField(filters_, order_by_)) {
+    result.push_back({*implied, false});
   }
   return result;
 }
 
 bool Query::Matches(const Document& doc) const {
-  // Collection membership: the document's parent must be this collection.
-  if (!(doc.name().Parent() == CollectionPath())) return false;
-  for (const FieldFilter& f : filters_) {
-    std::optional<Value> v = doc.GetField(f.field);
-    if (!v.has_value() || !f.Matches(*v)) return false;
+  // Collection membership, compared in place: the name is parent_, then
+  // collection_id_, then one document id.
+  const ResourcePath& name = doc.name();
+  if (name.size() != parent_.size() + 2 || !parent_.IsPrefixOf(name) ||
+      name.segments()[parent_.size()] != collection_id_) {
+    return false;
   }
-  for (const OrderBy& o : NormalizedOrderBy()) {
-    if (!doc.GetField(o.field).has_value()) return false;
+  for (const FieldFilter& f : filters_) {
+    const Value* v = doc.FindField(f.field);
+    if (v == nullptr || !f.Matches(*v)) return false;
+  }
+  // Ordered fields must be present. An implied order field is an
+  // inequality filter's field, which the loop above already required.
+  for (const OrderBy& o : order_by_) {
+    if (doc.FindField(o.field) == nullptr) return false;
   }
   return true;
 }
 
 int Query::Compare(const Document& a, const Document& b) const {
-  for (const OrderBy& o : NormalizedOrderBy()) {
-    std::optional<Value> va = a.GetField(o.field);
-    std::optional<Value> vb = b.GetField(o.field);
-    // Matches() guarantees presence; be defensive anyway.
-    if (!va.has_value() || !vb.has_value()) {
-      if (va.has_value() != vb.has_value()) return va.has_value() ? 1 : -1;
-      continue;
-    }
-    int c = va->Compare(*vb);
-    if (c != 0) return o.descending ? -c : c;
+  if (const FieldPath* implied = ImpliedOrderField(filters_, order_by_)) {
+    int c = CompareOn(*implied, /*descending=*/false, a, b);
+    if (c != 0) return c;
+  }
+  for (const OrderBy& o : order_by_) {
+    int c = CompareOn(o.field, o.descending, a, b);
+    if (c != 0) return c;
   }
   return a.name().Compare(b.name());
 }

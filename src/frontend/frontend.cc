@@ -366,6 +366,12 @@ void Frontend::Pump() {
         if (target.needs_reset) continue;
         if (target.max_commit_version >= t) continue;
         if (RangeWatermarkLocked(target) < t) continue;  // cannot advance
+        // No relevant change through t: advance silently, skipping an
+        // assembly whose snapshot would carry no changes.
+        if (target.pending.empty() || target.pending.begin()->first > t) {
+          target.max_commit_version = t;
+          continue;
+        }
         QuerySnapshot snapshot = BuildSnapshotLocked(target, t);
         if (!snapshot.changes.empty()) {
           deliveries.emplace_back(target.callback, std::move(snapshot));

@@ -4,6 +4,11 @@
 // matcher also publishes one completeness watermark per range, which every
 // Frontend reads at Pump: a watermark is a fact about a range, not about a
 // subscription, so heartbeats cost the same with one listener or thousands.
+//
+// Matching costs per change, not per listener: each range indexes its
+// subscriptions by their collection and first equality term, so a change
+// is verified (Query::Matches) only against the subscriptions it could
+// concern. See docs/realtime_protocol.md, "Query matching".
 
 #ifndef FIRESTORE_RTCACHE_QUERY_MATCHER_H_
 #define FIRESTORE_RTCACHE_QUERY_MATCHER_H_
@@ -55,7 +60,9 @@ class QueryMatcher {
 
   // -- Feed from the Changelog --
 
-  // A committed change, released in timestamp order per range.
+  // A committed change, released in timestamp order per range. Calls the
+  // sink of every subscription on `range` whose query matches the new or
+  // the old document, in subscription-id order.
   void OnDocumentChange(const std::string& database_id, RangeId range,
                         spanner::Timestamp ts,
                         const backend::DocumentChange& change);
@@ -79,16 +86,37 @@ class QueryMatcher {
 
  private:
   struct Subscription {
-    std::string database_id;
     query::Query query;
     std::vector<RangeId> ranges;
     EventSink sink;
+    // Its place in each range's candidate index (see CollectionIndex):
+    // the (database, collection) key, and unless `equality_field` is
+    // empty, the first equality filter's field and encoded value.
+    std::string collection_key;
+    std::string equality_field;
+    std::string equality_term;
+  };
+
+  // One equality field registered under a collection: subscriptions keyed
+  // by the encoded value of their first `==` filter on it
+  // (codec::AppendValueAsc, whose byte equality is Value::Compare == 0).
+  struct EqualityField {
+    model::FieldPath path;
+    std::map<std::string, std::vector<uint64_t>> by_term;
+  };
+
+  // A range's subscriptions on one (database, collection):
+  // queries without an equality filter, and the rest by their first one.
+  struct CollectionIndex {
+    std::vector<uint64_t> unindexed;
+    std::map<std::string, EqualityField> equality;  // by canonical field
   };
 
   mutable Mutex mu_;
   std::map<uint64_t, Subscription> subscriptions_ FS_GUARDED_BY(mu_);
-  // range -> subscription ids registered on it.
-  std::map<RangeId, std::vector<uint64_t>> by_range_ FS_GUARDED_BY(mu_);
+  // range -> collection key -> that collection's candidate index.
+  std::map<RangeId, std::map<std::string, CollectionIndex>> candidates_
+      FS_GUARDED_BY(mu_);
   // range -> published watermark (see OnWatermark).
   std::vector<spanner::Timestamp> watermarks_ FS_GUARDED_BY(mu_);
   // Registry-backed stats (rtcache.matcher.*, docs/OBSERVABILITY.md).

@@ -126,16 +126,24 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
     spanner::Timestamp last_ts = 0;
     std::vector<spanner::Timestamp> delivered_at;
   };
-  // Two queries on ONE connection: alpha (all) and beta (filtered).
+  // Two queries on ONE connection: alpha (all) and beta (filtered). Two
+  // more on connections of their own: rare, on a value few writes carry,
+  // so it sits idle for long stretches; and above, inequality-only, so no
+  // equality term indexes it in the Query Matcher.
   auto conn = service.frontend().OpenPrivilegedConnection(kDb);
-  Watch alpha, beta;
+  Watch alpha, beta, rare, above;
   alpha.query = Query(model::ResourcePath(), "alpha");
   beta.query = Query(model::ResourcePath(), "beta");
   beta.query.Where(Field("hot"), query::Operator::kEqual,
                    Value::Boolean(true));
-  auto attach = [&](Watch& w) {
+  rare.query = Query(model::ResourcePath(), "beta");
+  rare.query.Where(Field("hot"), query::Operator::kEqual, Value::Integer(2));
+  above.query = Query(model::ResourcePath(), "alpha");
+  above.query.Where(Field("v"), query::Operator::kGreaterThan,
+                    Value::Integer(50));
+  auto attach = [&](Watch& w, frontend::Frontend::ConnectionId on) {
     auto target = service.frontend().Listen(
-        conn, w.query, [&w](const frontend::QuerySnapshot& s) {
+        on, w.query, [&w](const frontend::QuerySnapshot& s) {
           if (s.is_reset) w.state.clear();
           for (const auto& change : s.changes) {
             if (change.kind == frontend::ChangeKind::kRemoved) {
@@ -150,14 +158,17 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
         });
     ASSERT_TRUE(target.ok());
   };
-  attach(alpha);
-  attach(beta);
+  attach(alpha, conn);
+  attach(beta, conn);
+  attach(rare, service.frontend().OpenPrivilegedConnection(kDb));
+  attach(above, service.frontend().OpenPrivilegedConnection(kDb));
 
-  auto verify = [&](Watch& w) {
-    auto rerun = service.RunQuery(kDb, w.query, w.last_ts);
+  // Compares the listener's state with a rerun at `at` (0 = latest).
+  auto verify = [&](Watch& w, spanner::Timestamp at) {
+    auto rerun = service.RunQuery(kDb, w.query, at);
     ASSERT_TRUE(rerun.ok());
     ASSERT_EQ(rerun->result.documents.size(), w.state.size())
-        << w.query.CanonicalString() << " at " << w.last_ts;
+        << w.query.CanonicalString() << " at " << at;
     for (const Document& doc : rerun->result.documents) {
       auto it = w.state.find(doc.name().CanonicalString());
       ASSERT_NE(it, w.state.end());
@@ -175,7 +186,8 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
     } else {
       Map fields;
       fields["v"] = Value::Integer(rng.Uniform(0, 100));
-      fields["hot"] = Value::Boolean(rng.Bernoulli(0.5));
+      fields["hot"] = rng.Bernoulli(0.05) ? Value::Integer(2)
+                                          : Value::Boolean(rng.Bernoulli(0.5));
       ASSERT_TRUE(
           service.Commit(kDb, {Mutation::Set(Path(path), fields)}).ok());
     }
@@ -186,8 +198,7 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
       clock.AdvanceBy(static_cast<Micros>(rng.Uniform(1'000, 200'000)));
       service.Pump();
       service.Pump();
-      verify(alpha);
-      verify(beta);
+      for (Watch* w : {&alpha, &beta, &rare, &above}) verify(*w, w->last_ts);
       // Invariant 5: snapshots are only delivered at timestamps every query
       // on the connection has reached — so when both queries deliver in the
       // same round, they deliver at the same timestamp. (A query with no
@@ -202,8 +213,12 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
   clock.AdvanceBy(1'000'000);
   service.Pump();
   service.Pump();
-  verify(alpha);
-  verify(beta);
+  // Every commit is now released and delivered, so each listener, idle or
+  // not, holds the latest results.
+  for (Watch* w : {&alpha, &beta, &rare, &above}) {
+    verify(*w, w->last_ts);
+    verify(*w, 0);
+  }
   EXPECT_GT(alpha.delivered_at.size(), 2u);
 }
 

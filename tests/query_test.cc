@@ -76,6 +76,58 @@ TEST(QueryTest, NormalizedOrderAddsInequalityField) {
   EXPECT_FALSE(order[0].descending);
 }
 
+TEST(QueryTest, MatchesOnlyDirectChildrenOfTheCollection) {
+  Query root(model::ResourcePath(), "games");
+  Query sub(Path("/x/d0"), "games");
+  model::Document top(Path("/games/g1"), {});
+  model::Document nested(Path("/x/d0/games/g1"), {});
+  model::Document deeper(Path("/games/g1/games/g2"), {});
+  model::Document sibling(Path("/x/d1/games/g1"), {});
+  EXPECT_TRUE(root.Matches(top));
+  // Same collection id, but under another parent or one level deeper.
+  EXPECT_FALSE(root.Matches(nested));
+  EXPECT_FALSE(root.Matches(deeper));
+  EXPECT_TRUE(sub.Matches(nested));
+  EXPECT_FALSE(sub.Matches(top));
+  EXPECT_FALSE(sub.Matches(sibling));
+}
+
+TEST(QueryTest, CompareOrdersByImpliedInequalityFieldThenName) {
+  Query q(model::ResourcePath(), "r");
+  q.Where(Field("a"), Operator::kGreaterThan, Value::Integer(0));
+  model::Document low(Path("/r/z"), {{"a", Value::Integer(1)}});
+  model::Document high(Path("/r/b"), {{"a", Value::Double(2.5)}});
+  model::Document tie(Path("/r/y"), {{"a", Value::Double(1.0)}});
+  // The implied ascending order on `a` wins over the name order.
+  EXPECT_LT(q.Compare(low, high), 0);
+  EXPECT_GT(q.Compare(high, low), 0);
+  // Equal values (1 == 1.0) fall back to the name.
+  EXPECT_GT(q.Compare(low, tie), 0);
+  EXPECT_EQ(q.Compare(low, low), 0);
+  // An explicit descending order on the same field replaces the implied one.
+  Query desc(model::ResourcePath(), "r");
+  desc.Where(Field("a"), Operator::kGreaterThan, Value::Integer(0))
+      .OrderByField(Field("a"), /*descending=*/true);
+  EXPECT_GT(desc.Compare(low, high), 0);
+}
+
+TEST(QueryTest, DocumentEqualityComparesNumbersByValue) {
+  model::Document a(Path("/r/a"),
+                    {{"n", Value::Integer(3)},
+                     {"m", Value::FromMap({{"k", Value::Integer(1)}})}});
+  model::Document b(Path("/r/a"),
+                    {{"n", Value::Double(3.0)},
+                     {"m", Value::FromMap({{"k", Value::Double(1.0)}})}});
+  EXPECT_TRUE(a == b);
+  b.SetField(Field("n"), Value::Double(3.5));
+  EXPECT_FALSE(a == b);
+  model::Document renamed(Path("/r/b"), a.fields());
+  EXPECT_FALSE(a == renamed);
+  model::Document extra = a;
+  extra.SetField(Field("x"), Value::Null());
+  EXPECT_FALSE(a == extra);
+}
+
 // ---------------------------------------------------------------------------
 // Fixture with the restaurant dataset
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/random.h"
 #include "rtcache/changelog.h"
 #include "rtcache/query_matcher.h"
 #include "rtcache/range_ownership.h"
@@ -242,7 +245,7 @@ TEST_F(RtFixture, UnavailableFaultFailsPrepare) {
 
 TEST_F(RtFixture, MatcherFiltersIrrelevantChanges) {
   // The subscription is for collection "docs"; a change in another
-  // collection is matched against the query and dropped.
+  // collection reaches no candidate, so no query is even examined.
   const int64_t examined0 = CounterValue("rtcache.matcher.examined");
   const int64_t matched0 = CounterValue("rtcache.matcher.matched");
   auto p = changelog_.Prepare("db", {Path("/other/x")},
@@ -253,8 +256,45 @@ TEST_F(RtFixture, MatcherFiltersIrrelevantChanges) {
   clock_.AdvanceBy(2'000'000);
   changelog_.Tick();
   EXPECT_TRUE(ChangeEvents().empty());
-  EXPECT_GT(CounterValue("rtcache.matcher.examined") - examined0, 0);
+  EXPECT_EQ(CounterValue("rtcache.matcher.examined") - examined0, 0);
   EXPECT_EQ(CounterValue("rtcache.matcher.matched") - matched0, 0);
+}
+
+// Matching cost follows the change, not the listener count: with 50,000
+// equality subscriptions over 500 values plus one inequality-only query, a
+// change is verified against its value's 100 subscriptions and the
+// unindexed one, and a change in another collection against none.
+TEST(QueryMatcherTest, MatcherExaminesOnlyCandidates) {
+  QueryMatcher matcher;
+  constexpr int kValues = 500;
+  constexpr int kPerValue = 100;
+  int sink_calls = 0;
+  auto sink = [&sink_calls](uint64_t, const RangeEvent&) { ++sink_calls; };
+  uint64_t id = 0;
+  for (int copy = 0; copy < kPerValue; ++copy) {
+    for (int v = 0; v < kValues; ++v) {
+      query::Query q(model::ResourcePath(), "docs");
+      q.Where(Field("v"), query::Operator::kEqual, Value::Integer(v));
+      matcher.Subscribe(++id, "db", q, {0}, sink);
+    }
+  }
+  query::Query below(model::ResourcePath(), "docs");
+  below.Where(Field("v"), query::Operator::kLessThan, Value::Integer(0));
+  matcher.Subscribe(++id, "db", below, {0}, sink);
+  ASSERT_EQ(matcher.subscription_count(), kValues * kPerValue + 1);
+
+  const int64_t examined0 = CounterValue("rtcache.matcher.examined");
+  const int64_t matched0 = CounterValue("rtcache.matcher.matched");
+  matcher.OnDocumentChange("db", 0, 10, MakeChange("/docs/a", 42));
+  EXPECT_EQ(CounterValue("rtcache.matcher.examined") - examined0,
+            kPerValue + 1);
+  EXPECT_EQ(CounterValue("rtcache.matcher.matched") - matched0, kPerValue);
+  EXPECT_EQ(sink_calls, kPerValue);
+
+  const int64_t examined1 = CounterValue("rtcache.matcher.examined");
+  matcher.OnDocumentChange("db", 0, 11, MakeChange("/other/a", 42));
+  EXPECT_EQ(CounterValue("rtcache.matcher.examined") - examined1, 0);
+  EXPECT_EQ(sink_calls, kPerValue);
 }
 
 TEST_F(RtFixture, MatcherForwardsRemovals) {
@@ -296,6 +336,168 @@ TEST_F(RtFixture, UnsubscribeStopsDelivery) {
   clock_.AdvanceBy(2'000'000);
   changelog_.Tick();
   EXPECT_TRUE(events_.empty());
+}
+
+// ---------------------------------------------------------------------------
+// QueryMatcher forwarding property
+
+// Random subscriptions and random changes, fed straight to the matcher: for
+// every change, the sink calls must be exactly the live subscriptions on the
+// change's range and database whose query matches the new or the old
+// document, in subscription-id order. Queries mix equality terms that
+// compare equal across types (3 and 3.0, maps holding either), contradictory
+// equalities, nested fields, inequality-only, array-contains and unfiltered
+// queries, another database, and the same collection id under another
+// parent; changes create, move documents between values, drop fields and
+// delete.
+TEST(QueryMatcherPropertyTest, IndexedMatchingEqualsBruteForce) {
+  using query::Operator;
+  const std::vector<Value> pool = {
+      Value::Integer(0),
+      Value::Integer(1),
+      Value::Integer(2),
+      Value::Double(1.0),
+      Value::Double(2.0),
+      Value::Double(1.5),
+      Value::String("a"),
+      Value::String("b"),
+      Value::Null(),
+      Value::FromMap({{"k", Value::Integer(1)}}),
+      Value::FromMap({{"k", Value::Double(1.0)}}),
+  };
+  const std::vector<std::string> fields = {"f", "g", "a.b"};
+  const std::vector<model::ResourcePath> parents = {
+      model::ResourcePath(), model::ResourcePath(), Path("/x/d0")};
+  const std::vector<std::string> collections = {"games", "other", "games"};
+  constexpr int kSubscriptions = 200;
+  constexpr int kChanges = 300;
+
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto pick = [&](const auto& v) -> const auto& {
+      return v[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(v.size()) - 1))];
+    };
+    struct Sub {
+      std::string database_id;
+      query::Query query;
+      std::vector<RangeId> ranges;
+    };
+    QueryMatcher matcher;
+    std::map<uint64_t, Sub> live;
+    std::vector<uint64_t> calls;  // subscription ids, in sink order
+    for (uint64_t id = 1; id <= kSubscriptions; ++id) {
+      size_t c = static_cast<size_t>(rng.Uniform(0, 2));
+      query::Query q(parents[c], collections[c]);
+      switch (rng.Uniform(0, 6)) {
+        case 0:  // one equality, possibly nested
+          q.Where(Field(pick(fields)), Operator::kEqual, pick(pool));
+          break;
+        case 1:  // two equalities, sometimes on one field (contradictory)
+          q.Where(Field("f"), Operator::kEqual, pick(pool));
+          q.Where(Field(rng.Bernoulli(0.5) ? "f" : "g"), Operator::kEqual,
+                  pick(pool));
+          break;
+        case 2:  // equality plus an inequality on another field
+          q.Where(Field("g"), Operator::kEqual, pick(pool));
+          q.Where(Field("f"), Operator::kGreaterThanOrEqual,
+                  Value::Integer(rng.Uniform(0, 2)));
+          break;
+        case 3:  // inequality only
+          q.Where(Field("f"), Operator::kLessThan,
+                  Value::Integer(rng.Uniform(0, 3)));
+          break;
+        case 4:
+          q.Where(Field("arr"), Operator::kArrayContains, pick(pool));
+          break;
+        case 5:  // no filter, sometimes ordered
+          if (rng.Bernoulli(0.5)) q.OrderByField(Field("g"));
+          break;
+        default:  // equality with an explicit order on another field
+          q.Where(Field("f"), Operator::kEqual, pick(pool));
+          q.OrderByField(Field("g"));
+          break;
+      }
+      std::vector<RangeId> ranges =
+          rng.Bernoulli(0.5) ? std::vector<RangeId>{0, 1}
+                             : std::vector<RangeId>{
+                                   static_cast<RangeId>(rng.Uniform(0, 1))};
+      std::string db = rng.Bernoulli(0.9) ? "db" : "db2";
+      matcher.Subscribe(id, db, q, ranges,
+                        [&calls](uint64_t sub, const RangeEvent&) {
+                          calls.push_back(sub);
+                        });
+      live[id] = Sub{db, q, ranges};
+    }
+
+    auto random_doc = [&](const model::ResourcePath& name) {
+      Document doc(name, {});
+      if (rng.Bernoulli(0.8)) doc.SetField(Field("f"), pick(pool));
+      if (rng.Bernoulli(0.6)) doc.SetField(Field("g"), pick(pool));
+      if (rng.Bernoulli(0.4)) doc.SetField(Field("a.b"), pick(pool));
+      if (rng.Bernoulli(0.3)) {
+        doc.SetField(Field("arr"),
+                     Value::FromArray({pick(pool), pick(pool)}));
+      }
+      return doc;
+    };
+    std::map<std::pair<std::string, std::string>, Document> stored;
+    size_t forwarded = 0;
+    for (int step = 0; step < kChanges; ++step) {
+      if (step == kChanges / 2) {
+        // Unsubscribe a random tenth part-way through.
+        for (int i = 0; i < kSubscriptions / 10; ++i) {
+          uint64_t id = static_cast<uint64_t>(rng.Uniform(1, kSubscriptions));
+          matcher.Unsubscribe(id);
+          live.erase(id);
+        }
+      }
+      std::string db = rng.Bernoulli(0.9) ? "db" : "db2";
+      size_t c = static_cast<size_t>(rng.Uniform(0, 2));
+      model::ResourcePath name = parents[c].Child(collections[c]).Child(
+          "d" + std::to_string(rng.Uniform(0, 7)));
+      auto key = std::make_pair(db, name.CanonicalString());
+      DocumentChange change;
+      change.name = name;
+      auto existing = stored.find(key);
+      if (existing != stored.end()) change.old_doc = existing->second;
+      if (existing != stored.end() && rng.Bernoulli(0.2)) {
+        change.deleted = true;
+        stored.erase(existing);
+      } else {
+        Document doc = random_doc(name);
+        if (existing != stored.end() && rng.Bernoulli(0.3)) {
+          // Drop one field of the stored document.
+          doc = existing->second;
+          doc.DeleteField(Field(pick(fields)));
+        }
+        change.new_doc = doc;
+        stored[key] = doc;
+      }
+      RangeId range = static_cast<RangeId>(rng.Uniform(0, 1));
+
+      std::vector<uint64_t> expected;
+      for (const auto& [id, sub] : live) {
+        if (sub.database_id != db) continue;
+        if (std::find(sub.ranges.begin(), sub.ranges.end(), range) ==
+            sub.ranges.end()) {
+          continue;
+        }
+        if ((change.new_doc && sub.query.Matches(*change.new_doc)) ||
+            (change.old_doc && sub.query.Matches(*change.old_doc))) {
+          expected.push_back(id);
+        }
+      }
+      calls.clear();
+      matcher.OnDocumentChange(db, range, step + 1, change);
+      ASSERT_EQ(calls, expected) << "change " << step << " to "
+                                 << name.CanonicalString();
+      forwarded += calls.size();
+    }
+    // Not vacuous: a good share of changes reach several subscriptions.
+    EXPECT_GT(forwarded, static_cast<size_t>(kChanges));
+  }
 }
 
 // ---------------------------------------------------------------------------
