@@ -55,33 +55,42 @@ StatusOr<std::vector<ScanRow>> ReadWriteTransaction::Scan(
     int64_t max_rows) {
   if (finished_) return FailedPreconditionError("transaction finished");
   RETURN_IF_ERROR(FS_FAULT_POINT("spanner.txn.scan"));
+  // This transaction's buffered writes within [start, limit).
+  std::map<Key, RowValue>::const_iterator first{}, last{};
+  if (auto tit = writes_.find(table); tit != writes_.end()) {
+    first = tit->second.lower_bound(start);
+    last = limit.empty() ? tit->second.end() : tit->second.lower_bound(limit);
+  }
+  // Each buffered delete may hide one stored row, so fetch that many more:
+  // a page must not come back short (or empty) while later rows exist.
+  int64_t fetch = max_rows;
+  if (max_rows > 0) {
+    fetch += std::count_if(first, last,
+                           [](const auto& w) { return !w.second.has_value(); });
+  }
   std::vector<ScanRow> rows;
   {
     ReaderMutexLock data_lock(&db_->data_mu_);
     ASSIGN_OR_RETURN(rows, db_->ScanLocked(table, start, limit,
-                                           kMaxTimestamp, max_rows));
+                                           kMaxTimestamp, fetch));
   }
-  // Merge this transaction's buffered writes within the range.
-  auto tit = writes_.find(table);
-  if (tit != writes_.end()) {
-    for (const auto& [k, v] : tit->second) {
-      if (k < start || (!limit.empty() && k >= limit)) continue;
-      auto pos = std::lower_bound(
-          rows.begin(), rows.end(), k,
-          [](const ScanRow& r, const Key& key) { return r.key < key; });
-      if (pos != rows.end() && pos->key == k) {
-        if (v.has_value()) {
-          pos->value = *v;
-        } else {
-          rows.erase(pos);
-        }
-      } else if (v.has_value()) {
-        rows.insert(pos, {k, *v, 0});
+  for (auto it = first; it != last; ++it) {
+    const auto& [k, v] = *it;
+    auto pos = std::lower_bound(
+        rows.begin(), rows.end(), k,
+        [](const ScanRow& r, const Key& key) { return r.key < key; });
+    if (pos != rows.end() && pos->key == k) {
+      if (v.has_value()) {
+        pos->value = *v;
+      } else {
+        rows.erase(pos);
       }
+    } else if (v.has_value()) {
+      rows.insert(pos, {k, *v, 0});
     }
-    if (max_rows > 0 && static_cast<int64_t>(rows.size()) > max_rows) {
-      rows.resize(max_rows);
-    }
+  }
+  if (max_rows > 0 && static_cast<int64_t>(rows.size()) > max_rows) {
+    rows.resize(max_rows);
   }
   // 2PL: lock the rows the scan observed.
   for (const ScanRow& row : rows) {
@@ -247,14 +256,7 @@ StatusOr<std::vector<ScanRow>> Database::ScanLocked(
     Timestamp ts, int64_t max_rows) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) return NotFoundError("no such table: " + table);
-  std::vector<ScanRow> rows;
-  it->second->ScanAt(start, limit, ts,
-                     [&](const Key& k, const std::string& v, Timestamp ver) {
-                       rows.push_back({k, v, ver});
-                       return max_rows == 0 ||
-                              static_cast<int64_t>(rows.size()) < max_rows;
-                     });
-  return rows;
+  return it->second->ScanAt(start, limit, ts, max_rows);
 }
 
 int Database::RunLoadSplitting(int64_t load_threshold) {

@@ -28,12 +28,6 @@ namespace firestore::spanner {
 
 class Database;
 
-struct ScanRow {
-  Key key;
-  std::string value;
-  Timestamp version = 0;  // commit timestamp of the returned version
-};
-
 struct CommitResult {
   Timestamp commit_ts = 0;
   // Number of distinct tablets written (2PC participants), for latency
@@ -62,7 +56,8 @@ class ReadWriteTransaction {
 
   // Scans latest committed rows in [start, limit), taking shared locks on
   // every returned row. `max_rows` of 0 means unlimited. Buffered writes of
-  // this transaction are merged into the result.
+  // this transaction are merged into the result before `max_rows` applies,
+  // so a page is short only at the end of the range.
   StatusOr<std::vector<ScanRow>> Scan(const std::string& table,
                                       const Key& start, const Key& limit,
                                       int64_t max_rows = 0);

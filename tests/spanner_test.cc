@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "spanner/database.h"
 
@@ -192,6 +197,28 @@ TEST_F(SpannerTest, TransactionScanMergesBufferedWrites) {
   EXPECT_EQ((*rows)[1].key, "b");
 }
 
+TEST_F(SpannerTest, TransactionScanPageOfOwnDeletesIsNotTheEnd) {
+  Put("a", "1");
+  Put("b", "2");
+  Put("c", "3");
+  auto txn = db_.BeginTransaction();
+  txn->Delete("T", "a");
+  txn->Delete("T", "b");
+  // Both stored rows of the first page are buffered deletes; paging callers
+  // read an empty page as the end of the range.
+  auto rows = txn->Scan("T", "", "", 2);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].key, "c");
+  EXPECT_EQ((*rows)[0].value, "3");
+  // A buffered insert takes its place in the page like a stored row.
+  txn->Put("T", "bb", "new");
+  rows = txn->Scan("T", "", "", 1);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].key, "bb");
+}
+
 TEST_F(SpannerTest, WriteConflictSerializes) {
   // Two transactions write the same key: the younger gets wounded or waits;
   // the final state must be one of the two values with both commits ordered.
@@ -313,12 +340,53 @@ TEST_F(SpannerTest, ScanCrossesTabletBoundaries) {
 }
 
 TEST_F(SpannerTest, LoadBasedSplitting) {
-  for (int i = 0; i < 200; ++i) Put("key" + std::to_string(i), "v");
+  std::vector<Key> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back("key" + std::to_string(i));
+    Put(keys.back(), "v");
+  }
   Table* table = db_.GetTable("T");
   EXPECT_EQ(table->tablet_count(), 1u);
   int splits = db_.RunLoadSplitting(/*load_threshold=*/100);
   EXPECT_GE(splits, 1);
   EXPECT_GT(table->tablet_count(), 1u);
+  // One hot tablet splits once, at its median stored key.
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(splits, 1);
+  ASSERT_EQ(table->tablet_count(), 2u);
+  EXPECT_EQ(table->tablets()[0]->limit_key(), keys[100]);
+  EXPECT_EQ(table->tablets()[1]->start_key(), keys[100]);
+}
+
+TEST_F(SpannerTest, ScanChargesEachReturnedRowToItsTablet) {
+  for (char c = 'a'; c <= 'j'; ++c) Put(std::string(1, c), "v");
+  auto txn = db_.BeginTransaction();
+  txn->Delete("T", "e");
+  ASSERT_TRUE(txn->Commit().ok());
+  Table* table = db_.GetTable("T");
+  ASSERT_TRUE(table->SplitAt("d").ok());  // splits reset the load counters
+  ASSERT_TRUE(table->SplitAt("g").ok());
+  const int64_t scanned_before =
+      MetricRegistry::Global().GetCounter("spanner.rows.scanned").value();
+  // Starts inside ["", d) and stops at max_rows inside [g, +inf); the
+  // tombstoned "e" is skipped, not charged.
+  auto rows = db_.SnapshotScan("T", "c", "", db_.StrongReadTimestamp(), 6);
+  ASSERT_TRUE(rows.ok());
+  std::vector<Key> keys;
+  for (const ScanRow& row : *rows) keys.push_back(row.key);
+  EXPECT_EQ(keys, (std::vector<Key>{"c", "d", "f", "g", "h", "i"}));
+  EXPECT_EQ(MetricRegistry::Global().GetCounter("spanner.rows.scanned").value(),
+            scanned_before + 6);
+  ASSERT_EQ(table->tablet_count(), 3u);
+  for (const auto& tablet : table->tablets()) {
+    int64_t owned = std::count_if(keys.begin(), keys.end(), [&](const Key& k) {
+      return tablet->Contains(k);
+    });
+    EXPECT_EQ(tablet->stats().reads.load(), owned) << tablet->start_key();
+  }
+  EXPECT_EQ(table->tablets()[0]->stats().reads.load(), 1);
+  EXPECT_EQ(table->tablets()[1]->stats().reads.load(), 2);
+  EXPECT_EQ(table->tablets()[2]->stats().reads.load(), 3);
 }
 
 TEST_F(SpannerTest, ParticipantCountReflectsTabletsTouched) {
@@ -382,6 +450,222 @@ TEST_F(SpannerTest, GarbageCollectionRemovesDeadRows) {
   auto rows = db_.SnapshotScan("T", "", "", db_.StrongReadTimestamp());
   EXPECT_TRUE(rows->empty());
 }
+
+// ---------------------------------------------------------------------------
+// Referee: storage against a brute-force versioned model, with explicit and
+// load-based splits and garbage collection interleaved with the commits.
+
+class StoragePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
+  using History = std::map<Timestamp, RowValue>;
+  Rng rng(GetParam());
+  ManualClock clock(1'000'000);
+  Database db(&clock);
+  ASSERT_TRUE(db.CreateTable("T").ok());
+  Table* table = db.GetTable("T");
+  auto random_key = [&] {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%03d",
+                  static_cast<int>(rng.Uniform(0, 199)));
+    return std::string(buf);
+  };
+  // Every committed version, and what GC leaves stored.
+  std::map<Key, History> history;
+  std::map<Key, History> stored;
+  Timestamp horizon = 0;
+
+  auto model_read = [](const std::map<Key, History>& rows, const Key& key,
+                       Timestamp ts, Timestamp* version) {
+    *version = 0;
+    auto row = rows.find(key);
+    if (row == rows.end()) return RowValue();
+    auto it = row->second.upper_bound(ts);
+    if (it == row->second.begin()) return RowValue();
+    --it;
+    *version = it->first;
+    return it->second;
+  };
+  auto boundaries = [&] {
+    std::vector<Key> starts;
+    for (const auto& tablet : table->tablets()) {
+      starts.push_back(tablet->start_key());
+    }
+    return starts;
+  };
+  auto check_tiling = [&] {
+    const auto& tablets = table->tablets();
+    ASSERT_FALSE(tablets.empty());
+    EXPECT_EQ(tablets.front()->start_key(), "");
+    EXPECT_EQ(tablets.back()->limit_key(), "");
+    for (size_t i = 0; i + 1 < tablets.size(); ++i) {
+      EXPECT_EQ(tablets[i]->limit_key(), tablets[i + 1]->start_key());
+      EXPECT_LT(tablets[i]->start_key(), tablets[i + 1]->start_key());
+    }
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    // A commit of 1-4 puts and deletes.
+    clock.AdvanceBy(rng.Uniform(1, 3));
+    auto txn = db.BeginTransaction();
+    std::map<Key, RowValue> writes;
+    for (int n = static_cast<int>(rng.Uniform(1, 4)); n > 0; --n) {
+      Key key = random_key();
+      if (rng.Bernoulli(0.25)) {
+        txn->Delete("T", key);
+        writes[key] = std::nullopt;
+      } else {
+        std::string value = "v" + std::to_string(step);
+        txn->Put("T", key, value);
+        writes[key] = value;
+      }
+    }
+    auto commit = txn->Commit();
+    ASSERT_TRUE(commit.ok());
+    for (const auto& [key, value] : writes) {
+      history[key][commit->commit_ts] = value;
+      stored[key][commit->commit_ts] = value;
+    }
+    const Timestamp now = db.last_commit_ts();
+
+    // Point reads at or above the horizon, and below it.
+    for (int r = 0; r < 3; ++r) {
+      Key key = random_key();
+      Timestamp ts = rng.Uniform(horizon, now);
+      Timestamp version = 0, history_version = 0, stored_version = 0;
+      auto got = db.SnapshotRead("T", key, ts, &version);
+      ASSERT_TRUE(got.ok());
+      RowValue want = model_read(history, key, ts, &history_version);
+      EXPECT_EQ(*got, want) << key << "@" << ts;
+      // At or above the horizon GC changes no value, but a tombstone it
+      // dropped reads as never written (version 0).
+      EXPECT_EQ(model_read(stored, key, ts, &stored_version), want);
+      EXPECT_EQ(version, stored_version) << key << "@" << ts;
+    }
+    if (horizon > 0) {
+      Timestamp below = rng.Uniform(0, horizon - 1);
+      EXPECT_EQ(db.SnapshotRead("T", random_key(), below).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(db.SnapshotScan("T", "", "", below).status().code(),
+                StatusCode::kFailedPrecondition);
+    }
+
+    // A scan over random bounds and page size.
+    {
+      Key start = rng.Bernoulli(0.2) ? "" : random_key();
+      Key limit = rng.Bernoulli(0.2) ? "" : random_key();
+      int64_t max_rows = rng.Bernoulli(0.3) ? 0 : rng.Uniform(1, 40);
+      Timestamp ts = rng.Uniform(horizon, now);
+      std::vector<ScanRow> want;
+      for (auto it = history.lower_bound(start); it != history.end(); ++it) {
+        if (!limit.empty() && it->first >= limit) break;
+        if (max_rows > 0 && static_cast<int64_t>(want.size()) == max_rows) {
+          break;
+        }
+        Timestamp version = 0;
+        RowValue value = model_read(history, it->first, ts, &version);
+        if (value.has_value()) want.push_back({it->first, *value, version});
+      }
+      auto got = db.SnapshotScan("T", start, limit, ts, max_rows);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want.size()) << start << ".." << limit;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ((*got)[i].key, want[i].key);
+        EXPECT_EQ((*got)[i].value, want[i].value);
+        EXPECT_EQ((*got)[i].version, want[i].version);
+      }
+    }
+
+    // Participants: distinct tablets owning a random key set.
+    {
+      std::vector<Key> keys;
+      for (int n = static_cast<int>(rng.Uniform(1, 6)); n > 0; --n) {
+        keys.push_back(random_key());
+      }
+      std::set<size_t> owners;
+      const auto& tablets = table->tablets();
+      for (const Key& key : keys) {
+        for (size_t i = 0; i < tablets.size(); ++i) {
+          if (tablets[i]->Contains(key)) owners.insert(i);
+        }
+      }
+      EXPECT_EQ(table->ParticipantCount(keys),
+                static_cast<int>(owners.size()));
+    }
+
+    // Maintenance, interleaved.
+    if (rng.Bernoulli(0.03)) {
+      Key split = random_key();
+      std::vector<Key> before = boundaries();
+      bool exists =
+          std::find(before.begin(), before.end(), split) != before.end();
+      Status status = table->SplitAt(split);
+      EXPECT_EQ(status.code(),
+                exists ? StatusCode::kAlreadyExists : StatusCode::kOk);
+      if (!exists) {
+        before.insert(
+            std::upper_bound(before.begin(), before.end(), split), split);
+      }
+      EXPECT_EQ(boundaries(), before);
+    }
+    if (rng.Bernoulli(0.05)) {
+      const int64_t threshold = rng.Uniform(5, 60);
+      // Predicted: every tablet at the threshold with two or more stored
+      // keys splits at the middle one, and its load restarts at zero.
+      std::vector<Key> want = boundaries();
+      std::map<Key, int64_t> cold_load;  // by start key
+      int predicted = 0;
+      for (const auto& tablet : table->tablets()) {
+        const TabletStats& st = tablet->stats();
+        const int64_t load = st.reads.load() + st.writes.load();
+        if (load < threshold) {
+          cold_load[tablet->start_key()] = load;
+          continue;
+        }
+        std::vector<Key> keys;
+        for (const auto& [key, versions] : stored) {
+          if (tablet->Contains(key)) keys.push_back(key);
+        }
+        if (keys.size() < 2) continue;
+        want.push_back(keys[keys.size() / 2]);
+        ++predicted;
+      }
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(db.RunLoadSplitting(threshold), predicted);
+      EXPECT_EQ(boundaries(), want);
+      for (const auto& tablet : table->tablets()) {
+        auto cold = cold_load.find(tablet->start_key());
+        EXPECT_EQ(tablet->stats().reads.load() + tablet->stats().writes.load(),
+                  cold == cold_load.end() ? 0 : cold->second)
+            << tablet->start_key();
+      }
+    }
+    if (rng.Bernoulli(0.05)) {
+      Timestamp h = rng.Uniform(horizon, now + 10);
+      db.GarbageCollect(h);
+      horizon = std::max(horizon, std::min(h, now));
+      for (auto row = stored.begin(); row != stored.end();) {
+        History& versions = row->second;
+        auto keep = versions.upper_bound(h);
+        if (keep != versions.begin()) --keep;
+        versions.erase(versions.begin(), keep);
+        if (versions.size() == 1 && versions.begin()->first <= h &&
+            !versions.begin()->second.has_value()) {
+          row = stored.erase(row);
+        } else {
+          ++row;
+        }
+      }
+    }
+    check_tiling();
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(table->tablet_count(), 1u);
+  EXPECT_GT(horizon, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoragePropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---------------------------------------------------------------------------
 // Lock manager edges
