@@ -115,135 +115,134 @@ class ResultCollector {
   int64_t to_skip_;
 };
 
-// Forward iterator over one index scan's rows with SeekGE support.
-class IndexScanIterator {
+// Forward cursor over one plan scan's rows, read from storage in pages of
+// kScanBatch. A seek inside the current page is a lower_bound; only a seek
+// past the page, or a Next off its end, reads storage. A short page is the
+// range's last (RowReader::Scan fills a page while rows remain).
+//
+// Stats: a single scan counts each row it lands on and makes no seeks; a
+// join counts one seek and one scanned row per positioning call, found or
+// not.
+class ScanCursor {
  public:
-  IndexScanIterator(RowReader& reader, const IndexScan& scan,
-                    QueryStats* stats)
-      : reader_(reader), scan_(scan), stats_(stats) {}
+  ScanCursor(RowReader& reader, const IndexScan& scan, bool join,
+             QueryStats* stats)
+      : reader_(reader), scan_(scan), join_(join), stats_(stats) {}
 
-  // Positions at the first key >= `key` within the scan bounds. Returns
-  // false when exhausted (or propagates an error via status()).
+  // Positions at the first row with key >= `key` in the scan's range.
+  // Returns false when exhausted (or propagates an error via status()).
   bool SeekGE(const std::string& key) {
-    std::string start = std::max(key, scan_.start_key);
-    ++stats_->seeks;
-    auto rows = reader_.Scan(index::kIndexEntriesTable, start,
-                             scan_.limit_key, 1);
-    if (!rows.ok()) {
-      status_ = rows.status();
-      return false;
-    }
-    ++stats_->index_rows_scanned;
-    if (rows->empty()) return false;
-    current_key_ = (*rows)[0].key;
-    return true;
+    if (page_.empty() || key > page_.back().key) return Fill(key);
+    pos_ = std::lower_bound(page_.begin() + pos_, page_.end(), key,
+                            [](const spanner::ScanRow& row,
+                               const std::string& k) { return row.key < k; }) -
+           page_.begin();
+    return Land(true);
   }
 
-  bool Next() { return SeekGE(KeySuccessor(current_key_)); }
+  // Positions at the first row whose suffix is >= `suffix`.
+  bool SeekSuffix(std::string_view suffix) {
+    std::string key = scan_.start_key.substr(0, scan_.prefix_len);
+    key.append(suffix);
+    return SeekGE(key);
+  }
+
+  bool Next() {
+    if (++pos_ < page_.size()) return Land(true);
+    return Fill(KeySuccessor(page_.back().key));
+  }
 
   // The shared merge suffix (order values + name) of the current row.
   std::string_view suffix() const {
-    return std::string_view(current_key_).substr(scan_.prefix_len);
-  }
-  // Absolute key for a given suffix in this scan's key space.
-  std::string KeyForSuffix(std::string_view suffix) const {
-    return current_key_.substr(0, scan_.prefix_len) + std::string(suffix);
+    return std::string_view(page_[pos_].key).substr(scan_.prefix_len);
   }
 
   const Status& status() const { return status_; }
 
  private:
+  // Reads the page starting at `start` (clamped to the scan's range).
+  bool Fill(const std::string& start) {
+    if (last_page_) return Land(false);
+    auto rows = reader_.Scan(scan_.table, std::max(start, scan_.start_key),
+                             scan_.limit_key, kScanBatch);
+    if (!rows.ok()) {
+      status_ = rows.status();
+      return false;
+    }
+    page_ = std::move(*rows);
+    pos_ = 0;
+    last_page_ = static_cast<int64_t>(page_.size()) < kScanBatch;
+    return Land(!page_.empty());
+  }
+
+  bool Land(bool found) {
+    if (join_) {
+      ++stats_->seeks;
+      ++stats_->index_rows_scanned;
+    } else if (found) {
+      ++stats_->index_rows_scanned;
+    }
+    return found;
+  }
+
   RowReader& reader_;
   const IndexScan& scan_;
+  const bool join_;
   QueryStats* stats_;
-  std::string current_key_;
+  std::vector<spanner::ScanRow> page_;
+  size_t pos_ = 0;
+  bool last_page_ = false;
   Status status_;
 };
 
-// Runs `plan` in one of the two shapes of paper §IV-D3 and feeds `visit`,
-// in plan order, the (order values..., name) suffix of every candidate row
+// Runs `plan`, a join of N >= 1 ranges (paper §IV-D3), and feeds `visit`, in
+// plan order, the (order values..., name) suffix of every candidate row
 // together with the document name parsed off it. `visit(suffix, name)`
 // returns StatusOr<bool>; false stops the walk. Candidates are not yet
 // scoped to the query's collection: index entries span the collection
 // group, and an Entities range also holds subcollection documents.
 //
-// A single-index plan is one paged range over IndexEntries. A collection
-// scan is the same range over Entities: an Entities key is bytes(database)
-// + path, so past the database prefix its suffix is the name alone. Plans
-// with more scans are leapfrog (zig-zag) joined on the shared suffix.
+// One leapfrog loop serves every plan: it seeks each lagging cursor to the
+// largest current suffix, visits when all cursors agree, then advances them
+// all. A single scan is the degenerate join that always agrees.
 template <typename Visit>
-Status WalkPlan(RowReader& reader, std::string_view database_id,
-                const QueryPlan& plan, QueryStats* stats, Visit&& visit) {
-  ResourcePath name;
-  if (plan.collection_scan || plan.scans.size() == 1) {
-    const bool entities = plan.collection_scan;
-    const std::string table =
-        entities ? index::kEntitiesTable : index::kIndexEntriesTable;
-    const std::string& limit =
-        entities ? plan.entities_limit : plan.scans[0].limit_key;
-    const size_t prefix_len =
-        entities ? index::EntityKeyPrefixForDatabase(database_id).size()
-                 : plan.scans[0].prefix_len;
-    std::string start =
-        entities ? plan.entities_start : plan.scans[0].start_key;
-    while (true) {
-      ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                       reader.Scan(table, start, limit, kScanBatch));
-      if (rows.empty()) return Status::Ok();
-      for (const spanner::ScanRow& row : rows) {
-        ++stats->index_rows_scanned;
-        std::string_view suffix =
-            std::string_view(row.key).substr(prefix_len);
-        if (!index::ParseIndexEntryName(suffix, plan.suffix_directions,
-                                        &name)) {
-          return InternalError("corrupt " + table + " key");
-        }
-        ASSIGN_OR_RETURN(bool more, visit(suffix, name));
-        if (!more) return Status::Ok();
-      }
-      start = KeySuccessor(rows.back().key);
-    }
-  }
-
-  FS_CHECK_GT(plan.scans.size(), 1u);
-  std::vector<IndexScanIterator> iters;
-  iters.reserve(plan.scans.size());
+Status WalkPlan(RowReader& reader, const QueryPlan& plan, QueryStats* stats,
+                Visit&& visit) {
+  FS_CHECK(!plan.scans.empty());
+  const bool join = plan.scans.size() > 1;
+  std::vector<ScanCursor> cursors;
+  cursors.reserve(plan.scans.size());
   for (const IndexScan& scan : plan.scans) {
-    iters.emplace_back(reader, scan, stats);
-  }
-  for (IndexScanIterator& it : iters) {
-    if (!it.SeekGE(std::string())) {
-      return it.status();  // OK status == some scan is simply empty
+    ScanCursor& cursor = cursors.emplace_back(reader, scan, join, stats);
+    if (!cursor.SeekGE(scan.start_key)) {
+      return cursor.status();  // OK status == some scan is simply empty
     }
   }
+  ResourcePath name;
   while (true) {
-    // Find the largest current suffix; check whether all agree.
-    std::string_view max_suffix = iters[0].suffix();
+    std::string_view max_suffix = cursors[0].suffix();
     bool all_equal = true;
-    for (IndexScanIterator& it : iters) {
-      if (it.suffix() != max_suffix) {
+    for (ScanCursor& c : cursors) {
+      if (c.suffix() != max_suffix) {
         all_equal = false;
-        if (it.suffix() > max_suffix) max_suffix = it.suffix();
+        max_suffix = std::max(max_suffix, c.suffix());
       }
     }
-    if (all_equal) {
-      if (!index::ParseIndexEntryName(max_suffix, plan.suffix_directions,
-                                      &name)) {
-        return InternalError("corrupt index entry key in join");
-      }
-      ASSIGN_OR_RETURN(bool more, visit(max_suffix, name));
-      if (!more) return Status::Ok();
-      for (IndexScanIterator& it : iters) {
-        if (!it.Next()) return it.status();
+    if (!all_equal) {
+      const std::string target(max_suffix);
+      for (ScanCursor& c : cursors) {
+        if (c.suffix() < target && !c.SeekSuffix(target)) return c.status();
       }
       continue;
     }
-    // Leapfrog: advance every lagging iterator to the max suffix.
-    std::string target(max_suffix);
-    for (IndexScanIterator& it : iters) {
-      if (it.suffix() < target) {
-        if (!it.SeekGE(it.KeyForSuffix(target))) return it.status();
-      }
+    if (!index::ParseIndexEntryName(max_suffix, plan.suffix_directions,
+                                    &name)) {
+      return InternalError("corrupt " + plan.scans[0].table + " key");
+    }
+    ASSIGN_OR_RETURN(bool more, visit(max_suffix, name));
+    if (!more) return Status::Ok();
+    for (ScanCursor& c : cursors) {
+      if (!c.Next()) return c.status();
     }
   }
 }
@@ -258,7 +257,7 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
   ResultCollector collector(query, &result);
   const ResourcePath collection = query.CollectionPath();
   RETURN_IF_ERROR(WalkPlan(
-      reader, database_id, plan, &result.stats,
+      reader, plan, &result.stats,
       [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
         if (InCollection(name, collection)) {
           ASSIGN_OR_RETURN(bool more,
@@ -284,7 +283,7 @@ StatusOr<QueryResult> PlanAndExecute(index::IndexCatalog& catalog,
 }
 
 StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
-                                        std::string_view database_id,
+                                        std::string_view /*database_id*/,
                                         const Query& query,
                                         const QueryPlan& plan) {
   CountResult result;
@@ -293,7 +292,7 @@ StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
   // The name is recoverable from the key alone; no document is fetched.
   int64_t matches = 0;
   RETURN_IF_ERROR(WalkPlan(
-      reader, database_id, plan, &result.stats,
+      reader, plan, &result.stats,
       [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
         if (InCollection(name, collection)) ++matches;
         return true;
@@ -315,13 +314,13 @@ StatusOr<AggregateResult> ExecuteSumQuery(RowReader& reader,
 
   // Fast path: the field's values are the first suffix component of a
   // single index scan — decode them from the keys.
-  if (!plan.collection_scan && plan.scans.size() == 1 &&
+  if (plan.scans.size() == 1 &&
       !plan.scans[0].suffix_fields.empty() &&
       plan.scans[0].suffix_fields[0] == field) {
     const bool descending = plan.suffix_directions[0];
     int64_t skipped = 0, taken = 0;
     RETURN_IF_ERROR(WalkPlan(
-        reader, database_id, plan, &agg.stats,
+        reader, plan, &agg.stats,
         [&](std::string_view suffix,
             const ResourcePath& name) -> StatusOr<bool> {
           if (!InCollection(name, collection)) return true;

@@ -118,10 +118,6 @@ std::string DescribeScan(const IndexDefinition& def) {
 
 std::string QueryPlan::DebugString() const {
   std::ostringstream os;
-  if (collection_scan) {
-    os << "collection-scan(Entities)";
-    return os.str();
-  }
   if (scans.size() > 1) os << "zigzag-join(";
   for (size_t i = 0; i < scans.size(); ++i) {
     if (i > 0) os << ", ";
@@ -157,20 +153,26 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
     }
   }
 
-  // No filters and no ordering: name-ordered collection scan over Entities.
+  // No filters and no ordering: a range of Entities, whose keys are
+  // bytes(database) + the name-ordered path encoding, so the suffix past the
+  // database prefix is the document name alone.
   if (equalities.empty() && contains.empty() && inequalities.empty() &&
       order.empty()) {
-    QueryPlan plan;
-    plan.collection_scan = true;
-    plan.entities_start = index::EntityKeyPrefixForCollection(
+    IndexScan scan;
+    scan.table = index::kEntitiesTable;
+    scan.description = "collection-scan(Entities)";
+    scan.prefix_len = index::EntityKeyPrefixForDatabase(database_id).size();
+    scan.start_key = index::EntityKeyPrefixForCollection(
         database_id, query.CollectionPath());
-    plan.entities_limit = PrefixSuccessor(plan.entities_start);
+    scan.limit_key = PrefixSuccessor(scan.start_key);
     if (query.start_cursor().has_value()) {
       const Cursor& cursor = *query.start_cursor();
       std::string at = index::EntityKey(database_id, cursor.name);
       if (!cursor.inclusive) at = KeySuccessor(at);
-      plan.entities_start = std::max(plan.entities_start, at);
+      scan.start_key = std::max(scan.start_key, at);
     }
+    QueryPlan plan;
+    plan.scans.push_back(std::move(scan));
     return plan;
   }
 

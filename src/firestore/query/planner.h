@@ -14,20 +14,23 @@
 
 #include "common/status.h"
 #include "firestore/index/catalog.h"
+#include "firestore/index/layout.h"
 #include "firestore/query/query.h"
 
 namespace firestore::query {
 
-// One index range scan participating in the plan.
+// One key range of one table participating in the plan: a range of one
+// index in IndexEntries, or a collection's range of Entities.
 struct IndexScan {
+  std::string table = index::kIndexEntriesTable;
   index::IndexId index_id = 0;
-  // Absolute IndexEntries key bounds: [start_key, limit_key).
+  // Absolute key bounds within `table`: [start_key, limit_key).
   std::string start_key;
   std::string limit_key;
   // Byte length of this scan's fixed prefix (database + index id + encoded
-  // equality values). The remainder of each row key — the scan's *suffix* —
-  // is the shared (order values..., document name) tuple that zig-zag
-  // joining merges on.
+  // equality values; the database alone over Entities). The remainder of
+  // each row key — the scan's *suffix* — is the shared (order values...,
+  // document name) tuple that zig-zag joining merges on.
   size_t prefix_len = 0;
   // Fields of the suffix's value components, in order (parallel to the
   // plan's suffix_directions). Lets aggregations decode field values
@@ -38,15 +41,9 @@ struct IndexScan {
 };
 
 struct QueryPlan {
-  // Filter-less, order-less queries scan the Entities table directly by
-  // collection prefix (documents are name-ordered there), instead of an
-  // index.
-  bool collection_scan = false;
-  std::string entities_start;
-  std::string entities_limit;
-
-  // Otherwise: single element = plain index scan; multiple = zig-zag join,
-  // merging on the common suffix.
+  // Single element = plain range scan; multiple = zig-zag join, merging on
+  // the common suffix. A filter-less, order-less query scans its
+  // collection's Entities range, where documents are name-ordered.
   std::vector<IndexScan> scans;
   // Directions of the shared order-suffix components (true = descending),
   // used to parse the document name off each suffix.

@@ -172,7 +172,7 @@ class Frontend {
   const Clock* const clock_;
   backend::ReadService* const reader_;
   rtcache::QueryMatcher* matcher_;
-  const rtcache::RangeOwnership* ranges_;
+  const rtcache::RangeOwnership* const ranges_;
   const TenantResolver tenants_;
   const Options options_;
 
@@ -184,7 +184,7 @@ class Frontend {
   mutable Mutex mu_ FS_ACQUIRED_BEFORE(
       "backend::BillingLedger::mu_", "spanner::Database::data_mu_",
       "firestore::index::IndexCatalog::mu_", "spanner::LockManager::mu_",
-      "rtcache::QueryMatcher::mu_", "rtcache::RangeOwnership::mu_");
+      "rtcache::QueryMatcher::mu_");
   Rng retry_rng_ FS_GUARDED_BY(mu_){options_.retry_seed};
   uint64_t next_id_ FS_GUARDED_BY(mu_) = 1;
   std::map<ConnectionId, Connection> connections_ FS_GUARDED_BY(mu_);

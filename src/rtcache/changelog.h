@@ -107,13 +107,11 @@ class Changelog : public backend::RealTimeParticipant {
   void DrainNotifications() FS_EXCLUDES(mu_);
 
   const Clock* const clock_;
-  const RangeOwnership* ranges_;
+  const RangeOwnership* const ranges_;
   QueryMatcher* matcher_;
   const Options options_;
 
-  // Prepare consults range ownership while holding mu_ (string target:
-  // RangeOwnership::mu_ is private).
-  mutable Mutex mu_ FS_ACQUIRED_BEFORE("rtcache::RangeOwnership::mu_");
+  mutable Mutex mu_;
   uint64_t next_token_ FS_GUARDED_BY(mu_) = 1;
   std::map<uint64_t, PendingPrepare> pending_ FS_GUARDED_BY(mu_);
   std::map<RangeId, RangeState> range_states_ FS_GUARDED_BY(mu_);

@@ -22,25 +22,18 @@ RangeOwnership RangeOwnership::Uniform(int n) {
 }
 
 int RangeOwnership::num_ranges() const {
-  ReaderMutexLock lock(&mu_);
   return static_cast<int>(splits_.size()) + 1;
 }
 
-RangeId RangeOwnership::OwnerOfLocked(const std::string& key) const {
+RangeId RangeOwnership::OwnerOf(const std::string& key) const {
   // First split strictly greater than key determines the range.
   auto it = std::upper_bound(splits_.begin(), splits_.end(), key);
   return static_cast<RangeId>(it - splits_.begin());
 }
 
-RangeId RangeOwnership::OwnerOf(const std::string& key) const {
-  ReaderMutexLock lock(&mu_);
-  return OwnerOfLocked(key);
-}
-
 std::vector<RangeId> RangeOwnership::RangesCovering(
     const std::string& start, const std::string& limit) const {
-  ReaderMutexLock lock(&mu_);
-  RangeId first = OwnerOfLocked(start);
+  RangeId first = OwnerOf(start);
   RangeId last;
   if (limit.empty()) {
     last = static_cast<RangeId>(splits_.size());
@@ -54,18 +47,6 @@ std::vector<RangeId> RangeOwnership::RangesCovering(
   std::vector<RangeId> result;
   for (RangeId r = first; r <= last; ++r) result.push_back(r);
   return result;
-}
-
-void RangeOwnership::SetSplitPoints(std::vector<std::string> split_points) {
-  FS_CHECK(std::is_sorted(split_points.begin(), split_points.end()));
-  WriterMutexLock lock(&mu_);
-  splits_ = std::move(split_points);
-  ++generation_;
-}
-
-int64_t RangeOwnership::generation() const {
-  ReaderMutexLock lock(&mu_);
-  return generation_;
 }
 
 }  // namespace firestore::rtcache

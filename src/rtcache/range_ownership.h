@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
-
 namespace firestore::rtcache {
 
 using RangeId = int;
@@ -37,24 +35,10 @@ class RangeOwnership {
   std::vector<RangeId> RangesCovering(const std::string& start,
                                       const std::string& limit) const;
 
-  // Re-sharding (Slicer re-balancing): replaces the split points. Callers
-  // (the service) must re-register affected subscriptions and reset
-  // in-flight state, as production Firestore does via the out-of-sync path.
-  void SetSplitPoints(std::vector<std::string> split_points);
-
-  // Current generation; bumped by SetSplitPoints so stale references can be
-  // detected.
-  int64_t generation() const;
-
  private:
-  RangeId OwnerOfLocked(const std::string& key) const
-      FS_REQUIRES_SHARED(mu_);
-
-  // Re-sharding happens while lookups are in flight: readers take mu_
-  // shared, SetSplitPoints takes it exclusively.
-  mutable SharedMutex mu_;
-  std::vector<std::string> splits_ FS_GUARDED_BY(mu_);
-  int64_t generation_ FS_GUARDED_BY(mu_) = 0;
+  // Fixed at construction, because the Changelog's per-range state and the
+  // matcher's subscriptions are keyed by these ranges; lookups need no lock.
+  const std::vector<std::string> splits_;
 };
 
 }  // namespace firestore::rtcache

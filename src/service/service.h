@@ -168,7 +168,7 @@ class FirestoreService {
   backend::ReadService reader_;
   // fslint: allow(guarded-member) -- stateless facade over the synchronized Database; wired once in the constructor
   index::IndexBackfillService backfill_;
-  rtcache::RangeOwnership ranges_;
+  const rtcache::RangeOwnership ranges_;
   rtcache::QueryMatcher matcher_;
   std::unique_ptr<rtcache::Changelog> changelog_;
   std::unique_ptr<frontend::Frontend> frontend_;

@@ -282,6 +282,9 @@ int64_t Database::GarbageCollect(Timestamp horizon) {
     (void)name;
     dropped += table->GarbageCollect(horizon);
   }
+  if (dropped > 0) {
+    FS_METRIC_COUNTER("spanner.gc.versions_dropped").Increment(dropped);
+  }
   return dropped;
 }
 

@@ -50,6 +50,7 @@ using model::Document;
 using model::Map;
 using model::Value;
 using query::Query;
+using ::firestore::testing::CounterValue;
 using ::firestore::testing::Field;
 using ::firestore::testing::Path;
 
@@ -210,23 +211,36 @@ void RunChaos(uint64_t seed) {
   options.frontend_options.reset_retry.initial_backoff = 5'000;
   options.frontend_options.reset_retry.max_backoff = 100'000;
   options.frontend_options.retry_seed = seed;
+  // A retention far below the virtual time the run advances (see the
+  // seeding below), so the pump thread's GC drops versions under chaos.
+  options.version_retention = 30'000'000;
   service::FirestoreService service(&clock, options);
+  const int64_t gc_dropped_before =
+      CounterValue("spanner.gc.versions_dropped");
   FS_CHECK_OK(service.CreateDatabase(kDb));
   service.spanner().set_lock_timeout_ms(50);
   FaultRegistry::Global().SetLatencyClock(&clock);
 
   // Seed every key so read-modify-write bodies always find a row and the
-  // initial listener snapshot is non-trivial.
-  for (int i = 0; i < kKeys; ++i) {
-    FS_CHECK(service
-                 .Commit(kDb, {Mutation::Set(Path(KeyPath(i)),
-                                             {{"v", Value::Integer(0)}})})
-                 .ok());
+  // initial listener snapshot is non-trivial. Seeded twice, then the clock
+  // jumps ten retentions: the pump thread's first GC drops the first pass's
+  // versions, and GC runs every spin alongside the workload. Every read the
+  // invariants make is at a timestamp after the jump, and the workload plus
+  // the drain span a few virtual seconds, so none falls below the horizon.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kKeys; ++i) {
+      FS_CHECK(service
+                   .Commit(kDb, {Mutation::Set(Path(KeyPath(i)),
+                                               {{"v", Value::Integer(0)}})})
+                   .ok());
+    }
   }
   FS_CHECK(service
                .Commit(kDb, {Mutation::Set(Path("/chaos/counter"),
                                            {{"v", Value::Integer(0)}})})
                .ok());
+
+  clock.AdvanceBy(10 * options.version_retention);
 
   WriteLedger ledger;
   ChaosRecorder recorder;
@@ -581,6 +595,8 @@ void RunChaos(uint64_t seed) {
         << "phantom value " << value << " at " << name;
   }
   EXPECT_EQ(service.spanner().lock_manager().LockCount(), 0);
+  EXPECT_GT(CounterValue("spanner.gc.versions_dropped"), gc_dropped_before)
+      << "GC dropped no version under chaos";
 
   (void)terminal_errors;  // informational; terminal teardown is legal
 

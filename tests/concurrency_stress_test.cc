@@ -18,7 +18,6 @@
 #include "common/thread_annotations.h"
 #include "firestore/model/document.h"
 #include "firestore/query/query.h"
-#include "rtcache/range_ownership.h"
 #include "service/service.h"
 #include "spanner/lock_manager.h"
 #include "tests/test_support.h"
@@ -30,6 +29,7 @@ using backend::Mutation;
 using model::Map;
 using model::Value;
 using query::Query;
+using ::firestore::testing::CounterValue;
 using ::firestore::testing::Path;
 
 // Threads per role. One physical core is assumed; the point is interleaving
@@ -92,45 +92,6 @@ TEST(LockOrderCheckerTest, ConsistentOrderIsSilent) {
 }
 
 // ---------------------------------------------------------------------------
-// RangeOwnership: re-sharding (tablet splits of the realtime key space)
-// racing against ownership lookups.
-
-TEST(RangeOwnershipStressTest, ReshardWhileResolvingOwnership) {
-  rtcache::RangeOwnership ranges = rtcache::RangeOwnership::Uniform(4);
-  std::atomic<bool> done{false};
-
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&ranges, &done] {
-      while (!done.load(std::memory_order_relaxed)) {
-        int n = ranges.num_ranges();
-        ASSERT_GE(n, 1);
-        rtcache::RangeId owner = ranges.OwnerOf("projects/p/doc");
-        ASSERT_GE(owner, 0);
-        std::vector<rtcache::RangeId> covering =
-            ranges.RangesCovering("a", "z");
-        ASSERT_FALSE(covering.empty());
-        (void)ranges.generation();
-      }
-    });
-  }
-
-  int64_t gen_before = ranges.generation();
-  for (int i = 0; i < 200; ++i) {
-    // Alternate between a handful of split layouts.
-    switch (i % 3) {
-      case 0: ranges.SetSplitPoints({"g", "q"}); break;
-      case 1: ranges.SetSplitPoints({"d", "m", "t"}); break;
-      default: ranges.SetSplitPoints({}); break;
-    }
-    std::this_thread::yield();
-  }
-  done.store(true);
-  for (auto& r : readers) r.join();
-  EXPECT_EQ(ranges.generation(), gen_before + 200);
-}
-
-// ---------------------------------------------------------------------------
 // LockManager: wound-wait under heavy cross-thread contention. Every
 // transaction either commits (holds all its locks at once) or aborts; the
 // lock table must drain to empty either way.
@@ -189,7 +150,15 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   LockOrderChecker::SetEnabled(true);
 
   ManualClock clock(1'000'000'000);
-  service::FirestoreService service(&clock);
+  // A short retention, so GC drops the churned tenant's versions while the
+  // readers and splits race it. It must still outlast any in-flight read
+  // (100 pump spins): a strong read whose timestamp falls below the GC
+  // horizon fails.
+  service::FirestoreService::Options options;
+  options.version_retention = 200'000;
+  service::FirestoreService service(&clock, options);
+  const int64_t gc_dropped_before =
+      CounterValue("spanner.gc.versions_dropped");
   constexpr char kDb[] = "projects/p/databases/d";
   constexpr char kChurnDb[] = "projects/churn/databases/d";
   FS_CHECK_OK(service.CreateDatabase(kDb));
@@ -240,12 +209,15 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   });
 
   // Pump: advances time and drives Changelog -> Matcher -> Frontend, which
-  // invokes the listener callback concurrently with everything else.
+  // invokes the listener callback concurrently with everything else. Paced
+  // so that virtual time runs at most 10x wall time: a committer preempted
+  // between Prepare and Commit must not see its 2 s max_commit_margin pass,
+  // nor a reader its snapshot fall below the GC horizon.
   threads.emplace_back([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      clock.AdvanceBy(50'000);
+      clock.AdvanceBy(2'000);
       service.Pump();
-      std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
 
@@ -275,10 +247,14 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
     }
   });
 
-  // The committer threads bound the test duration; everything else spins
-  // until they finish.
+  // The committer threads bound the workload; everything else spins until
+  // they finish and GC has dropped versions under the racing threads.
   threads[0].join();
   threads[1].join();
+  for (int i = 0; i < 10'000; ++i) {
+    if (CounterValue("spanner.gc.versions_dropped") > gc_dropped_before) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   done.store(true);
   for (size_t i = 2; i < threads.size(); ++i) threads[i].join();
 
@@ -304,6 +280,9 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
       ASSERT_TRUE(doc->has_value()) << path;
     }
   }
+
+  EXPECT_GT(CounterValue("spanner.gc.versions_dropped"),
+            gc_dropped_before);
 
   FS_CHECK_OK(service.frontend().StopListen(conn, *target));
   service.frontend().CloseConnection(conn);

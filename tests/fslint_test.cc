@@ -368,9 +368,9 @@ TEST(FslintTreeSweepTest, RealSrcTreeIsCleanAndGraphMatchesAnnotations) {
   // sanctioned by the declared closure, and the known nestings are present.
   EXPECT_GE(graph.nodes.size(), 10u);
   std::set<std::string> want_observed{
-      "Changelog::mu_ -> RangeOwnership::mu_",
       "Database::data_mu_ -> TimestampOracle::mu_",
       "Frontend::mu_ -> Database::data_mu_",
+      "Frontend::mu_ -> IndexCatalog::mu_",
       "Frontend::mu_ -> QueryMatcher::mu_",
   };
   for (const LockEdge& e : graph.edges) {

@@ -421,6 +421,99 @@ TEST_F(QueryExecutionTest, QueryInTransactionSeesLockedConsistentData) {
 }
 
 // ---------------------------------------------------------------------------
+// The plan walker across storage pages. Both equality posting lists are
+// longer than one scan page (256 rows), so scans and joins seek within and
+// across pages. The stats are pinned exactly: billing reads
+// index_rows_scanned; a single scan counts the rows it lands on and makes no
+// seeks, while a join counts one seek and one row per positioning call.
+
+TEST(QueryWalkerTest, PagedScansAndJoinsKeepResultsAndStats) {
+  TestTenant t;
+  std::vector<model::Document> corpus;
+  auto put = [&](const std::string& path, bool x, bool p) {
+    Map fields;
+    fields["a"] = Value::String(x ? "x" : "y");
+    fields["b"] = Value::String(p ? "p" : "q");
+    t.Put(path, fields);
+    corpus.emplace_back(Path(path), fields);
+  };
+  for (int i = 0; i < 800; ++i) {
+    std::string id = std::to_string(i);
+    put("/items/d" + std::string(3 - id.size(), '0') + id, i % 2 == 0,
+        i % 3 == 0);
+  }
+  // Same collection id under a document: in both the index entries and the
+  // Entities range, and scoped out of every result.
+  for (int i = 0; i < 3; ++i) {
+    put("/items/d300/items/e" + std::to_string(i), true, true);
+  }
+
+  auto items = [] { return Query(model::ResourcePath(), "items"); };
+  auto eq = [](Query q, const char* field, const char* value) {
+    q.Where(Field(field), Operator::kEqual, Value::String(value));
+    return q;
+  };
+  struct Case {
+    Query query;
+    std::string plan;
+    int64_t rows_scanned;
+    int64_t seeks;
+    int64_t fetched;
+  };
+  const std::string a_index = "index#1 on items (a asc)";
+  const std::string join =
+      "zigzag-join(index#1 on items (a asc), index#3 on items (b asc))";
+  const std::vector<Case> cases = {
+      {items().StartAfterDoc(corpus[300]), "collection-scan(Entities)", 502,
+       0, 499},
+      {eq(items(), "a", "x").Limit(300), a_index, 303, 0, 300},
+      {eq(eq(items(), "a", "x"), "b", "p"), join, 674, 674, 134},
+      {eq(eq(items(), "a", "x"), "b", "p").Limit(20), join, 97, 97, 20},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query.CanonicalString());
+    std::vector<std::string> expected;
+    for (const model::Document& doc : corpus) {
+      if (c.query.Matches(doc)) {
+        expected.push_back(doc.name().CanonicalString());
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    const size_t past_cursor =
+        c.query.start_cursor().has_value() ? 301 : 0;  // d000..d300
+    expected.erase(expected.begin(),
+                   expected.begin() + std::min(past_cursor, expected.size()));
+    if (c.query.limit() > 0) expected.resize(c.query.limit());
+
+    auto names = [](const QueryResult& r) {
+      std::vector<std::string> out;
+      for (const auto& doc : r.documents) {
+        out.push_back(doc.name().CanonicalString());
+      }
+      return out;
+    };
+    auto check_stats = [&](const QueryStats& s) {
+      EXPECT_EQ(s.index_rows_scanned, c.rows_scanned);
+      EXPECT_EQ(s.seeks, c.seeks);
+      EXPECT_EQ(s.entities_fetched, c.fetched);
+    };
+    auto run = t.Run(c.query);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(run->plan_description, c.plan);
+    EXPECT_EQ(names(run->result), expected);
+    check_stats(run->result.stats);
+
+    auto txn = t.spanner().BeginTransaction();
+    auto in_txn =
+        t.reader().RunQueryInTransaction(t.id(), t.catalog(), c.query, *txn);
+    ASSERT_TRUE(in_txn.ok()) << in_txn.status();
+    EXPECT_EQ(names(*in_txn), expected);
+    check_stats(in_txn->stats);
+    txn->Abort();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized differential test: executor vs. brute-force evaluation.
 
 class QueryPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -68,15 +68,6 @@ TEST(RangeOwnershipTest, RangesCoveringSpansAndClamps) {
   EXPECT_EQ(edge, (std::vector<RangeId>{1}));
 }
 
-TEST(RangeOwnershipTest, ReshardingBumpsGeneration) {
-  RangeOwnership ranges = RangeOwnership::Uniform(2);
-  int64_t g0 = ranges.generation();
-  ranges.SetSplitPoints({"m"});
-  EXPECT_GT(ranges.generation(), g0);
-  EXPECT_EQ(ranges.OwnerOf("a"), 0);
-  EXPECT_EQ(ranges.OwnerOf("z"), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Changelog + QueryMatcher
 
