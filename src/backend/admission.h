@@ -63,16 +63,15 @@ class TrafficRampTracker {
   std::map<std::string, State> per_db_ FS_GUARDED_BY(mu_);
 };
 
-// Per-database in-flight RPC limiter + isolated-pool routing flags. The
-// request path calls Admit() before work and Release() after.
+// Per-database in-flight RPC limiter + isolated-pool routing flags: a
+// library that the ops tooling (examples/ops_tooling.cpp) and the tests
+// drive. FirestoreService does not call Admit(); a caller that wants the
+// limit calls Admit() before work and releases the Ticket after.
 class AdmissionController {
  public:
   struct Options {
     // Default per-database in-flight cap (0 = unlimited).
     int default_inflight_limit = 0;
-    // Work cap per RPC: queries stop and return partial results after this
-    // many index rows (see ReadService integration).
-    int64_t max_rows_per_rpc = 100'000;
     // Hint attached to RESOURCE_EXHAUSTED rejections (common/retry.h
     // WithRetryAfter): how long rejected callers should back off before
     // their next attempt.
@@ -115,13 +114,12 @@ class AdmissionController {
   void ClearInflightLimit(const std::string& database_id);
 
   // Routes the database to an isolated task pool. The routing decision is
-  // exposed so the dispatch layer (benchmarks, service) can honor it.
+  // exposed for a dispatch layer to honor; the service has none.
   void RouteToIsolatedPool(const std::string& database_id,
                            const std::string& pool_name);
   void ClearIsolatedPool(const std::string& database_id);
   std::string PoolFor(const std::string& database_id) const;
 
-  int64_t max_rows_per_rpc() const { return options_.max_rows_per_rpc; }
   int inflight(const std::string& database_id) const;
   int64_t rejected() const;
 

@@ -22,12 +22,6 @@ void BillingLedger::RecordDeletes(const std::string& database_id,
   usage_[database_id].document_deletes += count;
 }
 
-void BillingLedger::RecordRealtimeUpdates(const std::string& database_id,
-                                          int64_t count) {
-  MutexLock lock(&mu_);
-  usage_[database_id].realtime_updates += count;
-}
-
 void BillingLedger::AdjustStorage(const std::string& database_id,
                                   int64_t delta_bytes) {
   MutexLock lock(&mu_);
@@ -65,7 +59,6 @@ void BillingLedger::ResetDay() {
     u.document_reads = 0;
     u.document_writes = 0;
     u.document_deletes = 0;
-    u.realtime_updates = 0;
     // storage_bytes persists across days.
   }
 }

@@ -18,7 +18,6 @@ struct UsageCounters {
   int64_t document_writes = 0;
   int64_t document_deletes = 0;
   int64_t storage_bytes = 0;        // current footprint
-  int64_t realtime_updates = 0;     // documents fanned out to listeners
 };
 
 // Per-day free allowances, modeled on Firestore's published free tier.
@@ -46,7 +45,6 @@ class BillingLedger {
   void RecordReads(const std::string& database_id, int64_t count);
   void RecordWrites(const std::string& database_id, int64_t count);
   void RecordDeletes(const std::string& database_id, int64_t count);
-  void RecordRealtimeUpdates(const std::string& database_id, int64_t count);
   void AdjustStorage(const std::string& database_id, int64_t delta_bytes);
 
   UsageCounters Usage(const std::string& database_id) const;

@@ -7,6 +7,7 @@
 #include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "common/trace.h"
 #include "firestore/codec/document_codec.h"
 #include "firestore/index/extractor.h"
@@ -102,6 +103,9 @@ StatusOr<TriggerEvent> TriggerEvent::Parse(std::string_view data) {
 
 namespace {
 
+// Margin added to now for a commit's max timestamp M (paper §IV-D2 step 5).
+constexpr Micros kMaxCommitMargin = 2'000'000;
+
 // Applies one mutation to the running state; returns the new document or
 // nullopt for delete.
 StatusOr<std::optional<Document>> ApplyMutation(
@@ -173,12 +177,12 @@ StatusOr<CommitResponse> Committer::RunTransaction(
     const std::string& database_id, index::IndexCatalog& catalog,
     const TransactionBody& body,
     const std::vector<TriggerDefinition>& triggers, int max_attempts) {
-  RetryPolicy policy = options_.retry_policy;
+  RetryPolicy policy;
   policy.max_attempts = max_attempts;
-  // Attribute this loop's retry metrics to the committer regardless of the
-  // configured policy's label (retry.attempts{backend.run_transaction}).
+  // Attribute this loop's retry metrics to the committer
+  // (retry.attempts{backend.run_transaction}).
   policy.name = "backend.run_transaction";
-  RetryState retry(policy, clock_, options_.retry_seed);
+  RetryState retry(policy, clock_, /*seed=*/0x5eed);
   while (true) {
     auto txn = spanner_->BeginTransaction();
     StatusOr<std::vector<Mutation>> mutations = body(*txn);
@@ -191,9 +195,7 @@ StatusOr<CommitResponse> Committer::RunTransaction(
       if (result.ok()) return result;
       failure = result.status();
     }
-    Micros delay = 0;
-    if (!retry.ShouldRetryWrite(failure, &delay)) return failure;
-    if (options_.retry_sleep) options_.retry_sleep(delay);
+    if (!retry.ShouldRetryWrite(failure)) return failure;
   }
 }
 
@@ -359,7 +361,7 @@ StatusOr<CommitResponse> Committer::CommitInternal(
   }
 
   // Step 5: Prepare with the Real-time Cache.
-  Timestamp max_ts = clock_->NowMicros() + options_.max_commit_margin;
+  Timestamp max_ts = clock_->NowMicros() + kMaxCommitMargin;
   Timestamp min_ts = 0;
   uint64_t prepare_token = 0;
   if (realtime_ != nullptr) {

@@ -13,7 +13,6 @@
 #include "backend/billing.h"
 #include "backend/types.h"
 #include "common/clock.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "firestore/index/catalog.h"
 #include "firestore/rules/rules.h"
@@ -47,21 +46,8 @@ struct TriggerEvent {
 
 class Committer {
  public:
-  struct Options {
-    // Margin added to now for the max commit timestamp M.
-    Micros max_commit_margin = 2'000'000;
-    // Backoff shape for RunTransaction's retry loop (max_attempts is taken
-    // from the RunTransaction argument). The sleeper receives each backoff
-    // delay; when null the delay is virtual (tests, simulation).
-    RetryPolicy retry_policy;
-    uint64_t retry_seed = 0x5eed;
-    std::function<void(Micros)> retry_sleep;
-  };
-
   Committer(spanner::Database* spanner, const Clock* clock)
       : spanner_(spanner), clock_(clock) {}
-  Committer(spanner::Database* spanner, const Clock* clock, Options options)
-      : spanner_(spanner), clock_(clock), options_(options) {}
 
   // Optional collaborators.
   void set_realtime(RealTimeParticipant* rt) { realtime_ = rt; }
@@ -86,9 +72,8 @@ class Committer {
   // the transaction (acquiring locks) and returns the mutations to apply;
   // the whole thing commits atomically. Retries pre-apply failures —
   // ABORTED (wound-wait), UNAVAILABLE, lock-wait timeouts — up to
-  // `max_attempts` with the Options backoff (the Server SDKs' automatic
-  // retry with backoff, paper §III-D). An unknown-outcome commit is NOT
-  // retried: the write may have landed.
+  // `max_attempts`; each retry starts at once, without a backoff sleep.
+  // An unknown-outcome commit is NOT retried: the write may have landed.
   using TransactionBody = std::function<StatusOr<std::vector<Mutation>>(
       spanner::ReadWriteTransaction& txn)>;
   StatusOr<CommitResponse> RunTransaction(
@@ -107,7 +92,6 @@ class Committer {
 
   spanner::Database* spanner_;
   const Clock* clock_;
-  Options options_;
   RealTimeParticipant* realtime_ = nullptr;
   BillingLedger* billing_ = nullptr;
 };

@@ -4,6 +4,7 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "common/retry.h"
 
 namespace firestore::client {
 
@@ -314,8 +315,11 @@ Status FirestoreClient::FlushPending() {
                result.status().code() == StatusCode::kDeadlineExceeded) {
       // Transient (mutations are blind last-write-wins, so even an
       // unknown-outcome DEADLINE_EXCEEDED is safe to resend): back off and
-      // retry on a later pump, honoring any server retry-after hint.
-      Micros delay = NextBackoff(options_.flush_retry, flush_rng_,
+      // retry on a later pump, honoring any server retry-after hint. The
+      // default policy's max_attempts does not apply: queued writes are
+      // already acknowledged locally, so they retry indefinitely with
+      // capped backoff ("automatic retry with backoff", paper §III-D).
+      Micros delay = NextBackoff(RetryPolicy(), flush_rng_,
                                  &flush_prev_backoff_);
       if (std::optional<Micros> hint = RetryAfterHint(result.status())) {
         delay = std::max(delay, *hint);

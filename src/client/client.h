@@ -14,7 +14,6 @@
 
 #include "client/local_store.h"
 #include "common/random.h"
-#include "common/retry.h"
 #include "service/service.h"
 
 namespace firestore::client {
@@ -62,12 +61,6 @@ class FirestoreClient {
     // Persist the local cache across Restart() (end-user privacy choice,
     // paper §IV-E).
     bool persist_cache = true;
-    // Backoff shape for the mutation queue's flush retries ("automatic
-    // retry with backoff", paper §III-D). max_attempts is ignored: queued
-    // writes are already acknowledged locally, so transient flush failures
-    // retry indefinitely with capped backoff.
-    RetryPolicy flush_retry;
-    uint64_t flush_retry_seed = 0x5eed;
   };
 
   FirestoreClient(service::FirestoreService* service, std::string database_id,
@@ -168,7 +161,7 @@ class FirestoreClient {
   int64_t writes_flushed_ = 0;
   int64_t write_errors_ = 0;
   // Flush backoff state: no flush is attempted before flush_retry_at_.
-  Rng flush_rng_{options_.flush_retry_seed};
+  Rng flush_rng_{0x5eed};
   Micros flush_retry_at_ = 0;
   Micros flush_prev_backoff_ = 0;
 };

@@ -46,12 +46,6 @@ struct RetryPolicy {
   // Absolute deadline on the injected Clock (0 = none): a retry whose delay
   // would land past the deadline is not attempted.
   Micros deadline = 0;
-
-  static RetryPolicy NoRetry() {
-    RetryPolicy p;
-    p.max_attempts = 1;
-    return p;
-  }
 };
 
 // Generic transient classification: UNAVAILABLE, ABORTED, and

@@ -83,23 +83,9 @@ Status IndexBackfillService::BackfillEntries(const IndexDefinition& index,
 
 Status IndexBackfillService::RemoveEntries(std::string_view database_id,
                                            IndexId index_id, int batch_size) {
-  std::string start = IndexKeyPrefix(database_id, index_id);
-  const std::string limit = PrefixSuccessor(start);
-  while (true) {
-    auto txn = spanner_->BeginTransaction();
-    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                     txn->Scan(kIndexEntriesTable, start, limit, batch_size));
-    if (rows.empty()) {
-      txn->Abort();
-      return Status::Ok();
-    }
-    for (const spanner::ScanRow& row : rows) {
-      txn->Delete(kIndexEntriesTable, row.key);
-    }
-    auto commit = txn->Commit();
-    if (!commit.ok()) return commit.status();
-    start = KeySuccessor(rows.back().key);
-  }
+  const std::string prefix = IndexKeyPrefix(database_id, index_id);
+  return spanner_->DeleteRange(kIndexEntriesTable, prefix,
+                               PrefixSuccessor(prefix), batch_size);
 }
 
 }  // namespace firestore::index

@@ -14,16 +14,20 @@ using backend::PrepareHandle;
 using backend::WriteOutcome;
 using spanner::Timestamp;
 
-Changelog::Changelog(const Clock* clock, const RangeOwnership* ranges,
-                     QueryMatcher* matcher)
-    : Changelog(clock, ranges, matcher, Options()) {}
+namespace {
+
+// Grace after a Prepare's max timestamp before its ranges are declared
+// out-of-sync ("the maximum timestamp (plus a small margin) sets how long
+// the Changelog will wait for the corresponding Accept").
+constexpr Micros kAcceptGrace = 500'000;
+
+}  // namespace
 
 Changelog::Changelog(const Clock* clock, const RangeOwnership* ranges,
-                     QueryMatcher* matcher, Options options)
+                     QueryMatcher* matcher)
     : clock_(clock),
       ranges_(ranges),
       matcher_(matcher),
-      options_(options),
       prepares_counter_(FS_METRIC_COUNTER("rtcache.prepares")),
       accepts_counter_(FS_METRIC_COUNTER("rtcache.accepts")),
       out_of_sync_counter_(FS_METRIC_COUNTER("rtcache.out_of_sync")),
@@ -60,7 +64,7 @@ StatusOr<PrepareHandle> Changelog::Prepare(
   PendingPrepare pending;
   pending.database_id = database_id;
   pending.min_ts = m;
-  pending.expiry = max_commit_ts + options_.accept_grace;
+  pending.expiry = max_commit_ts + kAcceptGrace;
   pending.ranges = touched;
   uint64_t token = next_token_++;
   pending_.emplace(token, std::move(pending));

@@ -30,17 +30,8 @@ namespace firestore::rtcache {
 
 class Changelog : public backend::RealTimeParticipant {
  public:
-  struct Options {
-    // Extra grace period after a Prepare's max timestamp before the range
-    // is declared out-of-sync ("the maximum timestamp (plus a small margin)
-    // sets how long the Changelog will wait for the corresponding Accept").
-    Micros accept_grace = 500'000;
-  };
-
   Changelog(const Clock* clock, const RangeOwnership* ranges,
             QueryMatcher* matcher);
-  Changelog(const Clock* clock, const RangeOwnership* ranges,
-            QueryMatcher* matcher, Options options);
 
   // -- RealTimeParticipant --
   StatusOr<backend::PrepareHandle> Prepare(
@@ -109,7 +100,6 @@ class Changelog : public backend::RealTimeParticipant {
   const Clock* const clock_;
   const RangeOwnership* const ranges_;
   QueryMatcher* matcher_;
-  const Options options_;
 
   mutable Mutex mu_;
   uint64_t next_token_ FS_GUARDED_BY(mu_) = 1;

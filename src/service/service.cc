@@ -25,6 +25,9 @@ void SetTenantGauge(size_t tenants) {
   FS_METRIC_GAUGE("service.tenants").Set(static_cast<int64_t>(tenants));
 }
 
+// Realtime ranges when no explicit split points are given.
+constexpr int kRealtimeRanges = 16;
+
 }  // namespace
 
 FirestoreService::FirestoreService(const Clock* clock)
@@ -33,12 +36,12 @@ FirestoreService::FirestoreService(const Clock* clock)
 FirestoreService::FirestoreService(const Clock* clock, Options options)
     : clock_(clock),
       options_(options),
-      spanner_(clock, options.truetime_uncertainty),
+      spanner_(clock),
       committer_(&spanner_, clock),
       reader_(&spanner_),
       backfill_(&spanner_),
       ranges_(options.realtime_split_points.empty()
-                  ? rtcache::RangeOwnership::Uniform(options.realtime_ranges)
+                  ? rtcache::RangeOwnership::Uniform(kRealtimeRanges)
                   : rtcache::RangeOwnership(options.realtime_split_points)) {
   FS_CHECK_OK(spanner_.CreateTable(index::kEntitiesTable));
   FS_CHECK_OK(spanner_.CreateTable(index::kIndexEntriesTable));
@@ -82,7 +85,6 @@ Status FirestoreService::CreateDatabase(const std::string& database_id,
   if (tenants_.count(database_id) != 0) {
     return AlreadyExistsError("database exists: " + database_id);
   }
-  tenant->options = std::move(options);
   tenant->rules = std::move(rules);
   tenants_.emplace(database_id, std::move(tenant));
   SetTenantGauge(tenants_.size());
@@ -99,22 +101,11 @@ Status FirestoreService::DeleteDatabase(const std::string& database_id) {
   }
   // Physically remove the tenant's rows (both tables share the database-id
   // prefix).
+  const std::string prefix = index::EntityKeyPrefixForDatabase(database_id);
   for (const char* table : {index::kEntitiesTable, index::kIndexEntriesTable}) {
-    std::string start = index::EntityKeyPrefixForDatabase(database_id);
-    std::string limit = PrefixSuccessor(start);
-    while (true) {
-      auto txn = spanner_.BeginTransaction();
-      auto rows = txn->Scan(table, start, limit, 256);
-      if (!rows.ok()) return rows.status();
-      if (rows->empty()) {
-        txn->Abort();
-        break;
-      }
-      for (const auto& row : *rows) txn->Delete(table, row.key);
-      auto commit = txn->Commit();
-      if (!commit.ok()) return commit.status();
-      start = KeySuccessor(rows->back().key);
-    }
+    RETURN_IF_ERROR(spanner_.DeleteRange(table, prefix,
+                                         PrefixSuccessor(prefix),
+                                         /*batch_size=*/256));
   }
   return Status::Ok();
 }

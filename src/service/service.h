@@ -35,24 +35,19 @@ struct DatabaseOptions {
   // Security rules enforced for third-party (end-user) requests; empty =>
   // deny all third-party access until SetRules is called.
   std::string rules_source;
-  // Multi-regional deployments pay quorum latency on writes (modeled by the
-  // benchmarks' latency model; recorded here as metadata).
-  bool multi_region = false;
 };
 
 class FirestoreService {
  public:
   struct Options {
-    int realtime_ranges = 16;
     // MVCC version retention (Spanner keeps ~1 hour): Pump() garbage
     // collects versions older than now - retention. Snapshot reads at or
     // after the horizon keep working; older reads are out of retention.
     Micros version_retention = 3'600'000'000;
-    // Non-empty overrides realtime_ranges with explicit split points
-    // (Slicer-style custom sharding; used by tests and benchmarks to place
-    // range boundaries inside a tenant's key space).
+    // Non-empty replaces the 16 uniform realtime ranges with explicit split
+    // points (Slicer-style custom sharding; used by tests and benchmarks to
+    // place range boundaries inside a tenant's key space).
     std::vector<std::string> realtime_split_points;
-    Micros truetime_uncertainty = 1000;
     // Passed through to the Frontend (out-of-sync recovery budget/backoff).
     frontend::Frontend::Options frontend_options;
   };
@@ -147,7 +142,6 @@ class FirestoreService {
     // per-tenant metric name. Resolved once at creation, so a request
     // naming an unknown database never mints a label.
     Counter* requests = nullptr;
-    DatabaseOptions options;
     index::IndexCatalog catalog;
     std::unique_ptr<rules::RuleSet> rules;
     std::vector<backend::TriggerDefinition> triggers;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -191,10 +192,7 @@ void ReadWriteTransaction::Abort() {
 // ---------------------------------------------------------------------------
 // Database
 
-Database::Database(const Clock* clock, Micros truetime_uncertainty)
-    : clock_(clock),
-      truetime_(clock, truetime_uncertainty),
-      oracle_(clock) {}
+Database::Database(const Clock* clock) : oracle_(clock) {}
 
 Status Database::CreateTable(const std::string& name) {
   WriterMutexLock lock(&data_mu_);
@@ -221,6 +219,23 @@ std::unique_ptr<ReadWriteTransaction> Database::BeginTransaction() {
   TxnId id = next_txn_id_.fetch_add(1);
   return std::unique_ptr<ReadWriteTransaction>(
       new ReadWriteTransaction(this, id));
+}
+
+Status Database::DeleteRange(const std::string& table, Key start,
+                             const Key& limit, int batch_size) {
+  while (true) {
+    auto txn = BeginTransaction();
+    ASSIGN_OR_RETURN(std::vector<ScanRow> rows,
+                     txn->Scan(table, start, limit, batch_size));
+    if (rows.empty()) {
+      txn->Abort();
+      return Status::Ok();
+    }
+    for (const ScanRow& row : rows) txn->Delete(table, row.key);
+    auto commit = txn->Commit();
+    if (!commit.ok()) return commit.status();
+    start = KeySuccessor(rows.back().key);
+  }
 }
 
 Status Database::CheckReadTimestampLocked(Timestamp ts) const {

@@ -93,7 +93,7 @@ class ReadWriteTransaction {
 
 class Database {
  public:
-  explicit Database(const Clock* clock, Micros truetime_uncertainty = 1000);
+  explicit Database(const Clock* clock);
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -104,6 +104,11 @@ class Database {
   const Table* GetTable(const std::string& name) const;
 
   std::unique_ptr<ReadWriteTransaction> BeginTransaction();
+
+  // Deletes every row of `table` in [start, limit): each read-write
+  // transaction scans up to `batch_size` rows and deletes them.
+  Status DeleteRange(const std::string& table, Key start, const Key& limit,
+                     int batch_size);
 
   // Lock-free timestamped reads (paper §IV-D1: "the serializability
   // guarantee on timestamps allows Firestore to perform lock-free consistent
@@ -124,7 +129,6 @@ class Database {
   }
   Timestamp last_commit_ts() const { return oracle_.last_allocated(); }
 
-  const TrueTime& truetime() const { return truetime_; }
   MessageQueue& queue() { return queue_; }
   LockManager& lock_manager() { return lock_manager_; }
 
@@ -149,8 +153,6 @@ class Database {
     return lock_timeout_ms_.load(std::memory_order_relaxed);
   }
 
-  const Clock* const clock_;
-  const TrueTime truetime_;
   TimestampOracle oracle_;
   LockManager lock_manager_;
   MessageQueue queue_;

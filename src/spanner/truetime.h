@@ -1,9 +1,9 @@
-// TrueTime simulation and commit-timestamp allocation.
+// Commit-timestamp allocation.
 //
 // Spanner assigns globally-consistent, causally-ordered commit timestamps via
-// TrueTime (paper §IV-D1/§IV-D4 rely on this). In a single process we get
-// causal ordering for free from a monotonic oracle; the TrueTime interval is
-// still modeled so commit-wait cost can be charged in the simulation.
+// TrueTime (paper §IV-D1/§IV-D4 rely on this). In a single process a
+// monotone timestamp oracle gives the same order, with no uncertainty
+// interval and no commit wait.
 
 #ifndef FIRESTORE_SPANNER_TRUETIME_H_
 #define FIRESTORE_SPANNER_TRUETIME_H_
@@ -21,29 +21,6 @@ using Timestamp = int64_t;
 
 inline constexpr Timestamp kMaxTimestamp =
     std::numeric_limits<int64_t>::max();
-
-struct TrueTimeInterval {
-  Timestamp earliest;
-  Timestamp latest;
-};
-
-class TrueTime {
- public:
-  // `uncertainty` is the half-width epsilon of the interval.
-  TrueTime(const Clock* clock, Micros uncertainty)
-      : clock_(clock), uncertainty_(uncertainty) {}
-
-  TrueTimeInterval Now() const {
-    Micros t = clock_->NowMicros();
-    return {t - uncertainty_, t + uncertainty_};
-  }
-
-  Micros uncertainty() const { return uncertainty_; }
-
- private:
-  const Clock* clock_;
-  Micros uncertainty_;
-};
 
 // Allocates strictly-increasing commit timestamps that are >= real time and
 // respect a caller-supplied [min_allowed, max_allowed] window (the window is

@@ -492,7 +492,8 @@ void RunChaos(uint64_t seed) {
     (void)listen();
   }
   // A dropped Accept only surfaces as out-of-sync once its prepare expires
-  // (max_commit_margin + accept_grace = 2.5s virtual); drain well past it.
+  // (the Committer's kMaxCommitMargin 2 s + the Changelog's kAcceptGrace
+  // 0.5 s = 2.5 s virtual); drain well past it.
   for (int i = 0; i < 500; ++i) {
     clock.AdvanceBy(10'000);
     service.Pump();

@@ -211,7 +211,7 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   // Pump: advances time and drives Changelog -> Matcher -> Frontend, which
   // invokes the listener callback concurrently with everything else. Paced
   // so that virtual time runs at most 10x wall time: a committer preempted
-  // between Prepare and Commit must not see its 2 s max_commit_margin pass,
+  // between Prepare and Commit must not see its 2 s kMaxCommitMargin pass,
   // nor a reader its snapshot fall below the GC horizon.
   threads.emplace_back([&] {
     while (!done.load(std::memory_order_relaxed)) {

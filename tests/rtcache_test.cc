@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "firestore/index/layout.h"
 #include "rtcache/changelog.h"
 #include "rtcache/query_matcher.h"
 #include "rtcache/range_ownership.h"
@@ -570,6 +574,276 @@ TEST(WatermarkTableTest, IdleTickMakesNoSinkCalls) {
     EXPECT_EQ(matcher.watermark(0), clock.NowMicros());
   }
   EXPECT_EQ(sink_calls, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Changelog protocol
+
+// A seeded scheduler drives one Changelog over four ranges, single-threaded:
+// Prepares, Accepts (successful, failed, unknown, late, or dropped at
+// rtcache.accept.drop), clock advances with Tick (which expires Prepares),
+// and Subscribes with recording sinks. After every step and after a final
+// drain it checks what the Frontends rely on:
+//  - a range's published watermark never decreases;
+//  - no change reaches a sink at or below its range's watermark as
+//    published at that moment;
+//  - each range delivers in timestamp order;
+//  - between out-of-sync events a range delivers exactly the successful
+//    Accepts, with none lost, duplicated or invented;
+//  - every range an unknown, expired or dropped Accept touches gets an
+//    out-of-sync event in that step, and no other range does.
+// A later subscription sees exactly what the first one saw from its
+// Subscribe on, restricted to its ranges.
+TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
+  constexpr Micros kAcceptGrace = 500'000;  // the Changelog's fixed grace
+  constexpr int kDocs = 16;
+  constexpr int kRanges = 4;
+  constexpr int kSteps = 500;
+  auto doc_path = [](int d) { return "/docs/d" + std::to_string(d); };
+  // Split the tenant's documents four to a range.
+  std::vector<std::string> keys;
+  for (int d = 0; d < kDocs; ++d) {
+    keys.push_back(index::EntityKey("db", Path(doc_path(d))));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::string> splits;
+  for (int r = 1; r < kRanges; ++r) splits.push_back(keys[r * kDocs / kRanges]);
+
+  // (type, range, ts, the change's "v"; -1 for out-of-sync)
+  using Summary = std::tuple<int, RangeId, Timestamp, int64_t>;
+  auto summarize = [](const RangeEvent& event) {
+    int64_t v = -1;
+    if (event.type == RangeEvent::Type::kChange) {
+      v = event.change.new_doc->GetField(Field("v"))->integer_value();
+    }
+    return Summary{static_cast<int>(event.type), event.range, event.ts, v};
+  };
+  int64_t total_changes = 0, total_out_of_sync = 0, total_dropped = 0,
+          total_expired = 0, total_late = 0;
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ManualClock clock(1'000'000);
+    RangeOwnership ranges(splits);
+    ASSERT_EQ(ranges.num_ranges(), kRanges);
+    QueryMatcher matcher;
+    Changelog changelog(&clock, &ranges, &matcher);
+    const query::Query all_docs(model::ResourcePath(), "docs");
+    auto owner = [&](int d) {
+      return ranges.OwnerOf(index::EntityKey("db", Path(doc_path(d))));
+    };
+
+    // The first subscription covers every range; `published` is its range's
+    // watermark when the sink ran.
+    struct Delivery {
+      Summary event;
+      Timestamp published = 0;
+    };
+    std::vector<Delivery> log;
+    matcher.Subscribe(1, "db", all_docs, {0, 1, 2, 3},
+                      [&](uint64_t, const RangeEvent& event) {
+                        log.push_back({summarize(event),
+                                       matcher.watermark(event.range)});
+                      });
+    struct LaterSub {
+      std::vector<RangeId> ranges;
+      size_t cursor = 0;  // next log entry to expect
+      std::vector<Summary> got, want;
+    };
+    std::deque<LaterSub> later;
+
+    // A Prepare the Changelog still holds.
+    struct Write {
+      uint64_t token = 0;
+      std::vector<int> docs;
+      std::vector<RangeId> ranges;
+      Timestamp min_ts = 0, max_ts = 0;
+      bool dropped = false;  // its Accept was lost
+    };
+    std::vector<Write> pending;
+    std::vector<uint64_t> expired_tokens;  // for late Accepts
+    std::set<Timestamp> used_ts;
+    int64_t next_value = 0;
+    // range -> (ts, v) accepted successfully and not yet delivered.
+    std::vector<std::set<std::pair<Timestamp, int64_t>>> expected(kRanges);
+    std::vector<Timestamp> last_delivered(kRanges, 0);
+    std::vector<Timestamp> last_watermarks(kRanges, 0);
+    size_t checked = 0;
+
+    // Resolves every Prepare whose expiry Tick passes: its ranges are owed
+    // an out-of-sync event.
+    auto tick = [&](std::set<RangeId>& owed) {
+      changelog.Tick();
+      for (auto it = pending.begin(); it != pending.end();) {
+        if (it->max_ts + kAcceptGrace >= clock.NowMicros()) {
+          ++it;
+          continue;
+        }
+        owed.insert(it->ranges.begin(), it->ranges.end());
+        expired_tokens.push_back(it->token);
+        ++total_expired;
+        it = pending.erase(it);
+      }
+    };
+    // Checks the deliveries since the last call against the model.
+    auto check = [&](const std::set<RangeId>& owed, int step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::set<RangeId> out_of_sync;
+      for (; checked < log.size(); ++checked) {
+        const auto& [type, r, ts, v] = log[checked].event;
+        if (type == static_cast<int>(RangeEvent::Type::kOutOfSync)) {
+          ASSERT_TRUE(owed.count(r)) << "unowed out-of-sync on range " << r;
+          out_of_sync.insert(r);
+          expected[r].clear();  // its unreleased changes are gone
+          ++total_out_of_sync;
+          continue;
+        }
+        ASSERT_GT(ts, log[checked].published) << "range " << r;
+        ASSERT_GE(ts, last_delivered[r]) << "range " << r;
+        last_delivered[r] = ts;
+        ASSERT_EQ(expected[r].erase({ts, v}), 1u)
+            << "range " << r << " delivered (" << ts << ", " << v
+            << ") twice or without a successful Accept";
+        ++total_changes;
+      }
+      ASSERT_EQ(out_of_sync, owed);
+      std::vector<Timestamp> watermarks = matcher.watermarks();
+      watermarks.resize(kRanges, 0);
+      for (RangeId r = 0; r < kRanges; ++r) {
+        ASSERT_GE(watermarks[r], last_watermarks[r]) << "range " << r;
+      }
+      last_watermarks = watermarks;
+      for (LaterSub& sub : later) {
+        for (; sub.cursor < log.size(); ++sub.cursor) {
+          const Summary& event = log[sub.cursor].event;
+          if (std::find(sub.ranges.begin(), sub.ranges.end(),
+                        std::get<1>(event)) != sub.ranges.end()) {
+            sub.want.push_back(event);
+          }
+        }
+        ASSERT_EQ(sub.got, sub.want);
+      }
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+      std::set<RangeId> owed;
+      const int64_t roll = rng.Uniform(0, 99);
+      if (roll < 30) {  // Prepare one or two documents
+        Write w;
+        w.docs.push_back(static_cast<int>(rng.Uniform(0, kDocs - 1)));
+        if (rng.Bernoulli(0.4)) {
+          int d = static_cast<int>(rng.Uniform(0, kDocs - 1));
+          if (d != w.docs[0]) w.docs.push_back(d);
+        }
+        std::vector<model::ResourcePath> names;
+        for (int d : w.docs) {
+          names.push_back(Path(doc_path(d)));
+          if (std::find(w.ranges.begin(), w.ranges.end(), owner(d)) ==
+              w.ranges.end()) {
+            w.ranges.push_back(owner(d));
+          }
+        }
+        w.max_ts = clock.NowMicros() + rng.Uniform(200'000, 2'000'000);
+        auto handle = changelog.Prepare("db", names, w.max_ts);
+        ASSERT_TRUE(handle.ok());
+        ASSERT_LE(handle->min_commit_ts, w.max_ts);
+        w.token = handle->token;
+        w.min_ts = handle->min_commit_ts;
+        pending.push_back(std::move(w));
+      } else if (roll < 40 && !expired_tokens.empty()) {  // a late Accept
+        size_t i = static_cast<size_t>(rng.Uniform(
+            0, static_cast<int64_t>(expired_tokens.size()) - 1));
+        uint64_t token = expired_tokens[i];
+        expired_tokens.erase(expired_tokens.begin() + i);
+        const WriteOutcome outcome = static_cast<WriteOutcome>(
+            rng.Uniform(0, 2));
+        changelog.Accept(token, outcome, clock.NowMicros(),
+                         {MakeChange(doc_path(0), next_value++)});
+        ++total_late;
+      } else if (roll < 75) {  // Accept a Prepare whose Accept is not lost
+        std::vector<size_t> open;
+        for (size_t i = 0; i < pending.size(); ++i) {
+          if (!pending[i].dropped) open.push_back(i);
+        }
+        if (!open.empty()) {
+          const size_t i = open[static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(open.size()) - 1))];
+          const int64_t kind = rng.Uniform(0, 99);
+          if (kind < 10) {  // the Accept is lost on the way
+            ScopedFault drop("rtcache.accept.drop",
+                             FaultConfig{.action = FaultAction::Drop()});
+            changelog.Accept(pending[i].token, WriteOutcome::kSuccess,
+                             pending[i].min_ts, {});
+            pending[i].dropped = true;
+            ++total_dropped;
+          } else {
+            const Write w = pending[i];
+            pending.erase(pending.begin() + static_cast<ptrdiff_t>(i));
+            if (kind < 20) {
+              changelog.Accept(w.token, WriteOutcome::kFailed, 0, {});
+            } else if (kind < 25) {
+              owed.insert(w.ranges.begin(), w.ranges.end());
+              changelog.Accept(w.token, WriteOutcome::kUnknown, 0, {});
+            } else {
+              // A unique commit timestamp in [min_ts, max_ts].
+              const Timestamp hi = std::min(w.max_ts, w.min_ts + 2'000);
+              Timestamp ts = rng.Uniform(w.min_ts, hi);
+              while (used_ts.count(ts)) ts = rng.Uniform(w.min_ts, hi);
+              used_ts.insert(ts);
+              std::vector<DocumentChange> changes;
+              for (int d : w.docs) {
+                changes.push_back(MakeChange(doc_path(d), next_value));
+                expected[owner(d)].insert({ts, next_value++});
+              }
+              changelog.Accept(w.token, WriteOutcome::kSuccess, ts, changes);
+            }
+          }
+        }
+      } else if (roll < 95) {  // time passes; heartbeats and expiries
+        clock.AdvanceBy(rng.Uniform(0, 200'000));
+        tick(owed);
+      } else if (later.size() < 6) {  // a new subscription
+        LaterSub sub;
+        for (RangeId r = 0; r < kRanges; ++r) {
+          if (rng.Bernoulli(0.5)) sub.ranges.push_back(r);
+        }
+        if (sub.ranges.empty()) sub.ranges.push_back(0);
+        sub.cursor = log.size();
+        later.push_back(std::move(sub));
+        LaterSub* recorder = &later.back();
+        matcher.Subscribe(later.size() + 1, "db", all_docs, recorder->ranges,
+                          [recorder, &summarize](uint64_t,
+                                                 const RangeEvent& event) {
+                            recorder->got.push_back(summarize(event));
+                          });
+      }
+      check(owed, step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    // Final drain: every Prepare expires or is released, then every range
+    // heartbeats past the last commit.
+    std::set<RangeId> owed;
+    clock.AdvanceBy(10'000'000);
+    tick(owed);
+    EXPECT_TRUE(pending.empty());
+    clock.AdvanceBy(1'000);
+    tick(owed);
+    check(owed, kSteps);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (RangeId r = 0; r < kRanges; ++r) {
+      EXPECT_TRUE(expected[r].empty())
+          << "range " << r << " lost " << expected[r].size()
+          << " accepted changes without an out-of-sync event";
+    }
+  }
+  // Not vacuous: every kind of step happened, many times.
+  EXPECT_GT(total_changes, 400);
+  EXPECT_GT(total_out_of_sync, 100);
+  EXPECT_GT(total_dropped, 50);
+  EXPECT_GT(total_expired, 50);
+  EXPECT_GT(total_late, 40);
 }
 
 }  // namespace

@@ -721,15 +721,7 @@ TEST(LockManagerTest, ReleaseAllClearsWoundedFlag) {
 }
 
 // ---------------------------------------------------------------------------
-// TrueTime / oracle
-
-TEST(TrueTimeTest, IntervalBracketsClock) {
-  ManualClock clock(5000);
-  TrueTime tt(&clock, 100);
-  TrueTimeInterval now = tt.Now();
-  EXPECT_EQ(now.earliest, 4900);
-  EXPECT_EQ(now.latest, 5100);
-}
+// Timestamp oracle
 
 TEST(TimestampOracleTest, MonotonicAcrossClockStalls) {
   ManualClock clock(1000);
