@@ -16,7 +16,6 @@
 namespace firestore::backend {
 
 using model::Document;
-using model::Map;
 using model::ResourcePath;
 using spanner::Timestamp;
 
@@ -106,8 +105,8 @@ namespace {
 // Margin added to now for a commit's max timestamp M (paper §IV-D2 step 5).
 constexpr Micros kMaxCommitMargin = 2'000'000;
 
-// Applies one mutation to the running state; returns the new document or
-// nullopt for delete.
+// Checks `m`'s precondition against the running state, then applies it;
+// returns the new document or nullopt for delete.
 StatusOr<std::optional<Document>> ApplyMutation(
     const Mutation& m, const std::optional<Document>& current) {
   switch (m.precondition) {
@@ -135,25 +134,9 @@ StatusOr<std::optional<Document>> ApplyMutation(
     case Mutation::Precondition::kNone:
       break;
   }
-  switch (m.kind) {
-    case Mutation::Kind::kDelete:
-      return std::optional<Document>();
-    case Mutation::Kind::kSet: {
-      Document doc(m.name, m.fields);
-      if (current.has_value()) doc.set_create_time(current->create_time());
-      RETURN_IF_ERROR(doc.Validate());
-      return std::optional<Document>(std::move(doc));
-    }
-    case Mutation::Kind::kMerge: {
-      Map merged = current.has_value() ? current->fields() : Map();
-      for (const auto& [k, v] : m.fields) merged[k] = v;
-      Document doc(m.name, std::move(merged));
-      if (current.has_value()) doc.set_create_time(current->create_time());
-      RETURN_IF_ERROR(doc.Validate());
-      return std::optional<Document>(std::move(doc));
-    }
-  }
-  return InternalError("bad mutation kind");
+  std::optional<Document> next = m.ApplyTo(current);
+  if (next.has_value()) RETURN_IF_ERROR(next->Validate());
+  return next;
 }
 
 rules::AccessKind RuleKindFor(const Mutation& m, bool exists) {

@@ -55,6 +55,22 @@ struct Mutation {
   static Mutation Delete(model::ResourcePath name) {
     return {Kind::kDelete, std::move(name), {}, Precondition::kNone};
   }
+
+  // The document this mutation leaves behind on top of `current` (nullopt =
+  // deleted). Set and Merge carry create_time over. Preconditions and
+  // Document::Validate are the caller's.
+  std::optional<model::Document> ApplyTo(
+      const std::optional<model::Document>& current) const {
+    if (kind == Kind::kDelete) return std::nullopt;
+    model::Map result = fields;
+    if (kind == Kind::kMerge && current.has_value()) {
+      // insert() keeps this mutation's value where both carry a field.
+      result.insert(current->fields().begin(), current->fields().end());
+    }
+    model::Document doc(name, std::move(result));
+    if (current.has_value()) doc.set_create_time(current->create_time());
+    return doc;
+  }
 };
 
 // What the Real-time Cache learns about one document in an Accept: "the name

@@ -48,6 +48,18 @@ void ClientTransaction::Delete(ResourcePath name) {
 // ---------------------------------------------------------------------------
 // FirestoreClient
 
+namespace {
+
+// What the client asks the server for: full documents, so the cache never
+// holds a projected one. Views project locally.
+query::Query FullDocuments(query::Query q) { return q.Project({}); }
+
+// For re-evaluating a listener's server window, whose offset the server
+// already skipped.
+query::Query ServerWindow(query::Query q) { return q.Offset(0); }
+
+}  // namespace
+
 FirestoreClient::FirestoreClient(service::FirestoreService* service,
                                  std::string database_id,
                                  rules::AuthContext auth, Options options)
@@ -139,27 +151,30 @@ StatusOr<std::optional<Document>> FirestoreClient::Get(
 }
 
 StatusOr<ViewSnapshot> FirestoreClient::RunQuery(const query::Query& q) {
+  ViewSnapshot view;
+  view.from_cache = !online_;
+  view.has_pending_writes = store_.PendingAffects(q);
   if (online_) {
+    const query::Query fetch = FullDocuments(q);
     StatusOr<backend::RunQueryResult> result =
         options_.third_party
-            ? service_->RunQueryAsUser(database_id_, auth_, q)
-            : service_->RunQuery(database_id_, q);
+            ? service_->RunQueryAsUser(database_id_, auth_, fetch)
+            : service_->RunQuery(database_id_, fetch);
     RETURN_IF_ERROR(result.status());
     for (const Document& doc : result->result.documents) {
       store_.ApplyServerDocument(doc.name(), doc, result->read_ts);
     }
-    ViewSnapshot view;
     view.snapshot_ts = result->read_ts;
-    view.from_cache = false;
-    view.has_pending_writes = store_.PendingAffects(q);
-    view.documents = view.has_pending_writes ? store_.RunLocalQuery(q)
-                                             : result->result.documents;
-    return view;
+    if (!view.has_pending_writes) {
+      // The server already filtered, ordered and cut the result.
+      view.documents = std::move(result->result.documents);
+      for (Document& doc : view.documents) {
+        doc = q.ApplyProjection(std::move(doc));
+      }
+      return view;
+    }
   }
-  ViewSnapshot view;
   view.documents = store_.RunLocalQuery(q);
-  view.from_cache = true;
-  view.has_pending_writes = store_.PendingAffects(q);
   return view;
 }
 
@@ -198,7 +213,7 @@ void FirestoreClient::AttachListener(ListenerId id, Listener& listener) {
   DetachListener(listener);
   StatusOr<frontend::Frontend::TargetId> target =
       service_->frontend().Listen(
-          connection_, listener.query,
+          connection_, FullDocuments(listener.query),
           [this, id](const frontend::QuerySnapshot& s) {
             OnServerSnapshot(id, s);
           });
@@ -236,9 +251,11 @@ void FirestoreClient::OnServerSnapshot(ListenerId id,
   for (const frontend::SnapshotChange& change : s.changes) {
     const std::string name = change.doc.name().CanonicalString();
     if (change.kind == frontend::ChangeKind::kRemoved) {
+      // The document left the result: it may have stopped matching rather
+      // than been deleted, so the cache forgets it instead of recording it
+      // as absent.
       listener.server_docs.erase(name);
-      store_.ApplyServerDocument(change.doc.name(), std::nullopt,
-                                 s.snapshot_ts);
+      store_.ForgetServerDocument(change.doc.name(), s.snapshot_ts);
     } else {
       listener.server_docs[name] = change.doc;
       store_.ApplyServerDocument(change.doc.name(), change.doc,
@@ -255,30 +272,28 @@ void FirestoreClient::DeliverView(Listener& listener) {
   view.snapshot_ts = listener.server_snapshot_ts;
   view.from_cache = !listener.has_server_snapshot || !online_;
   view.has_pending_writes = store_.PendingAffects(listener.query);
-
-  // Start from the authoritative result set, overlay pending mutations, and
-  // include locally-mutated documents that now match.
+  if (!listener.has_server_snapshot) {
+    view.documents = store_.RunLocalQuery(listener.query);
+    listener.callback(view);
+    return;
+  }
+  // The authoritative result window, online or offline (the cache may hold
+  // entries older than it), with pending mutations overlaid; Evaluate drops
+  // what no longer matches.
   std::map<std::string, Document> docs = listener.server_docs;
   for (const PendingMutation& p : store_.pending()) {
     const std::string name = p.mutation.name.CanonicalString();
-    std::optional<Document> overlaid =
-        store_.OverlayDocument(p.mutation.name);
-    if (overlaid.has_value() && listener.query.Matches(*overlaid)) {
-      docs[name] = *overlaid;
+    std::optional<Document> overlaid = store_.OverlayDocument(p.mutation.name);
+    if (overlaid.has_value()) {
+      docs[name] = std::move(*overlaid);
     } else {
       docs.erase(name);
     }
   }
-  view.documents.reserve(docs.size());
-  for (auto& [name, doc] : docs) view.documents.push_back(doc);
-  std::sort(view.documents.begin(), view.documents.end(),
-            [&](const Document& a, const Document& b) {
-              return listener.query.Compare(a, b) < 0;
-            });
-  if (listener.query.limit() > 0 &&
-      static_cast<int64_t>(view.documents.size()) > listener.query.limit()) {
-    view.documents.resize(listener.query.limit());
-  }
+  std::vector<Document> window;
+  window.reserve(docs.size());
+  for (auto& [name, doc] : docs) window.push_back(std::move(doc));
+  view.documents = ServerWindow(listener.query).Evaluate(std::move(window));
   listener.callback(view);
 }
 

@@ -132,7 +132,8 @@ class FirestoreClient {
     // Online plumbing.
     bool attached = false;
     frontend::Frontend::TargetId target = 0;
-    // Latest authoritative result from the frontend (by name).
+    // Latest authoritative result window from the frontend (by name), as
+    // full documents: views apply the projection.
     std::map<std::string, model::Document> server_docs;
     int64_t server_snapshot_ts = 0;
     bool has_server_snapshot = false;
@@ -142,7 +143,9 @@ class FirestoreClient {
   void AttachListener(ListenerId id, Listener& listener);
   void DetachListener(Listener& listener);
   void OnServerSnapshot(ListenerId id, const frontend::QuerySnapshot& s);
-  // Recomputes a listener's latency-compensated view and fires its callback.
+  // Recomputes a listener's latency-compensated view (Query::Evaluate over
+  // its server window, or over the cache before it has one) and fires its
+  // callback.
   void DeliverView(Listener& listener);
   Status FlushPending();
   StatusOr<backend::CommitResponse> SendCommit(

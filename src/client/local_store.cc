@@ -10,7 +10,6 @@ namespace firestore::client {
 
 using backend::Mutation;
 using model::Document;
-using model::Map;
 using model::ResourcePath;
 
 void LocalStore::ApplyServerDocument(const ResourcePath& name,
@@ -47,11 +46,14 @@ void LocalStore::IndexDocument(const std::string& name,
   }
 }
 
-std::optional<CacheEntry> LocalStore::LookupServer(
-    const ResourcePath& name) const {
+void LocalStore::ForgetServerDocument(const ResourcePath& name,
+                                      int64_t snapshot_ts) {
   auto it = server_docs_.find(name.CanonicalString());
-  if (it == server_docs_.end()) return std::nullopt;
-  return it->second;
+  if (it == server_docs_.end() || snapshot_ts <= it->second.snapshot_ts) {
+    return;
+  }
+  IndexDocument(it->first, it->second.doc, std::nullopt);
+  server_docs_.erase(it);
 }
 
 uint64_t LocalStore::Enqueue(Mutation mutation) {
@@ -68,22 +70,6 @@ void LocalStore::AckThrough(uint64_t sequence) {
                  pending_.end());
 }
 
-std::optional<Document> LocalStore::ApplyMutationToDoc(
-    const Mutation& m, std::optional<Document> base) {
-  switch (m.kind) {
-    case Mutation::Kind::kDelete:
-      return std::nullopt;
-    case Mutation::Kind::kSet:
-      return Document(m.name, m.fields);
-    case Mutation::Kind::kMerge: {
-      Map merged = base.has_value() ? base->fields() : Map();
-      for (const auto& [k, v] : m.fields) merged[k] = v;
-      return Document(m.name, std::move(merged));
-    }
-  }
-  return base;
-}
-
 std::optional<Document> LocalStore::OverlayDocument(const ResourcePath& name,
                                                     bool* known) const {
   std::optional<Document> doc;
@@ -95,7 +81,7 @@ std::optional<Document> LocalStore::OverlayDocument(const ResourcePath& name,
   }
   for (const PendingMutation& p : pending_) {
     if (!(p.mutation.name == name)) continue;
-    doc = ApplyMutationToDoc(p.mutation, std::move(doc));
+    doc = p.mutation.ApplyTo(doc);
     have_info = true;
   }
   if (known != nullptr) *known = have_info;
@@ -131,26 +117,14 @@ std::vector<Document> LocalStore::RunLocalQuery(const query::Query& q) const {
   names.erase(std::unique(names.begin(), names.end()), names.end());
 
   last_query_docs_examined_ = static_cast<int64_t>(names.size());
-  std::vector<Document> results;
+  std::vector<Document> candidates;
   for (const std::string& name : names) {
     auto path = ResourcePath::Parse(name);
     if (!path.ok()) continue;
     std::optional<Document> doc = OverlayDocument(*path);
-    if (doc.has_value() && q.Matches(*doc)) results.push_back(*doc);
+    if (doc.has_value()) candidates.push_back(std::move(*doc));
   }
-  std::sort(results.begin(), results.end(),
-            [&](const Document& a, const Document& b) {
-              return q.Compare(a, b) < 0;
-            });
-  if (q.offset() > 0) {
-    results.erase(results.begin(),
-                  results.begin() + std::min<size_t>(q.offset(),
-                                                     results.size()));
-  }
-  if (q.limit() > 0 && static_cast<int64_t>(results.size()) > q.limit()) {
-    results.resize(q.limit());
-  }
-  return results;
+  return q.Evaluate(std::move(candidates));
 }
 
 bool LocalStore::PendingAffects(const query::Query& q) const {

@@ -50,8 +50,11 @@ class LocalStore {
   void ApplyServerDocument(const model::ResourcePath& name,
                            std::optional<model::Document> doc,
                            int64_t snapshot_ts);
-  std::optional<CacheEntry> LookupServer(
-      const model::ResourcePath& name) const;
+  // Drops the server view of `name` when `snapshot_ts` is newer than it (an
+  // entry at the same snapshot came from a reader that saw the document
+  // there): the document becomes unknown rather than confirmed absent.
+  void ForgetServerDocument(const model::ResourcePath& name,
+                            int64_t snapshot_ts);
 
   // -- Mutation queue --
 
@@ -70,8 +73,8 @@ class LocalStore {
   std::optional<model::Document> OverlayDocument(
       const model::ResourcePath& name, bool* known = nullptr) const;
 
-  // Runs `q` against the cache (server views + overlay). Results are only
-  // as complete as the cache — the expected behavior for offline queries.
+  // Query::Evaluate over the cache (server views + overlay): only as
+  // complete as the cache — the expected behavior for offline queries.
   // Equality filters are served from the local indexes.
   std::vector<model::Document> RunLocalQuery(const query::Query& q) const;
 
@@ -94,9 +97,6 @@ class LocalStore {
   size_t cached_documents() const { return server_docs_.size(); }
 
  private:
-  static std::optional<model::Document> ApplyMutationToDoc(
-      const backend::Mutation& m, std::optional<model::Document> base);
-
   // Local index maintenance on every server-view change.
   void IndexDocument(const std::string& name,
                      const std::optional<model::Document>& old_doc,

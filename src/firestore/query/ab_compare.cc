@@ -11,15 +11,13 @@
 namespace firestore::query {
 
 using model::Document;
-using model::FieldPath;
-using model::Value;
 
 StatusOr<std::vector<Document>> ReferenceEvaluate(
     RowReader& reader, std::string_view database_id, const Query& q) {
   RETURN_IF_ERROR(q.Validate());
   // Scan every document of the database (the reference must be independent
   // of index selection, so it ignores indexes entirely).
-  std::vector<Document> matching;
+  std::vector<Document> docs;
   std::string start = index::EntityKeyPrefixForDatabase(database_id);
   const std::string limit = PrefixSuccessor(start);
   while (true) {
@@ -29,56 +27,11 @@ StatusOr<std::vector<Document>> ReferenceEvaluate(
     for (const spanner::ScanRow& row : rows) {
       ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(row.value));
       codec::ResolveDocumentTimestamps(doc, row.version);
-      if (q.Matches(doc)) matching.push_back(std::move(doc));
+      docs.push_back(std::move(doc));
     }
     start = KeySuccessor(rows.back().key);
   }
-  std::sort(matching.begin(), matching.end(),
-            [&](const Document& a, const Document& b) {
-              return q.Compare(a, b) < 0;
-            });
-  // Cursor.
-  if (q.start_cursor().has_value()) {
-    const Cursor& cursor = *q.start_cursor();
-    auto after_cursor = [&](const Document& doc) {
-      // Compare (order values, name) against the cursor position.
-      const auto order = q.NormalizedOrderBy();
-      for (size_t i = 0; i < order.size(); ++i) {
-        std::optional<Value> v = doc.GetField(order[i].field);
-        if (!v.has_value()) return false;
-        int c = v->Compare(cursor.order_values[i]);
-        if (c != 0) return order[i].descending ? c < 0 : c > 0;
-      }
-      int c = doc.name().Compare(cursor.name);
-      return cursor.inclusive ? c >= 0 : c > 0;
-    };
-    matching.erase(
-        std::remove_if(matching.begin(), matching.end(),
-                       [&](const Document& d) { return !after_cursor(d); }),
-        matching.end());
-  }
-  // Offset / limit / projection.
-  if (q.offset() > 0) {
-    matching.erase(matching.begin(),
-                   matching.begin() +
-                       std::min<size_t>(q.offset(), matching.size()));
-  }
-  if (q.limit() > 0 && static_cast<int64_t>(matching.size()) > q.limit()) {
-    matching.resize(q.limit());
-  }
-  if (!q.projection().empty()) {
-    for (Document& doc : matching) {
-      Document projected(doc.name(), {});
-      projected.set_create_time(doc.create_time());
-      projected.set_update_time(doc.update_time());
-      for (const FieldPath& f : q.projection()) {
-        std::optional<Value> v = doc.GetField(f);
-        if (v.has_value()) projected.SetField(f, std::move(*v));
-      }
-      doc = std::move(projected);
-    }
-  }
-  return matching;
+  return q.Evaluate(std::move(docs));
 }
 
 StatusOr<ABReport> ABCompareQuery(index::IndexCatalog& catalog,

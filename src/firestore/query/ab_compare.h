@@ -27,9 +27,9 @@ struct ABReport {
   std::string plan_description;
 };
 
-// Reference evaluation: scans every document of the database's collection
-// group (any depth), applies Query::Matches / Compare / offset / limit /
-// projection in memory. Slow and always correct.
+// Reference evaluation: scans every document of the database (any
+// collection, any depth) and answers with Query::Evaluate, never touching an
+// index. Slow and always correct.
 StatusOr<std::vector<model::Document>> ReferenceEvaluate(
     RowReader& reader, std::string_view database_id, const Query& q);
 

@@ -11,25 +11,12 @@
 namespace firestore::query {
 
 using model::Document;
-using model::FieldPath;
 using model::ResourcePath;
 using model::Value;
 
 namespace {
 
 constexpr int64_t kScanBatch = 256;
-
-Document ApplyProjection(const Query& query, Document doc) {
-  if (query.projection().empty()) return doc;
-  Document projected(doc.name(), {});
-  projected.set_create_time(doc.create_time());
-  projected.set_update_time(doc.update_time());
-  for (const FieldPath& f : query.projection()) {
-    std::optional<Value> v = doc.GetField(f);
-    if (v.has_value()) projected.SetField(f, std::move(*v));
-  }
-  return projected;
-}
 
 // Index scans bound most predicates exactly; the residual checks a count
 // must perform per candidate are collection membership (the index spans the
@@ -104,7 +91,7 @@ class ResultCollector {
       --to_skip_;
       return true;
     }
-    out_->documents.push_back(ApplyProjection(query_, std::move(doc)));
+    out_->documents.push_back(query_.ApplyProjection(std::move(doc)));
     return query_.limit() == 0 ||
            static_cast<int64_t>(out_->documents.size()) < query_.limit();
   }

@@ -1,5 +1,6 @@
 #include "firestore/query/query.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace firestore::query {
@@ -222,7 +223,23 @@ bool Query::Matches(const Document& doc) const {
   for (const OrderBy& o : order_by_) {
     if (doc.FindField(o.field) == nullptr) return false;
   }
+  if (start_cursor_.has_value()) {
+    int c = CompareToStartCursor(doc);
+    if (c < 0 || (c == 0 && !start_cursor_->inclusive)) return false;
+  }
   return true;
+}
+
+int Query::CompareToStartCursor(const Document& doc) const {
+  const Cursor& cursor = *start_cursor_;
+  const std::vector<OrderBy> order = NormalizedOrderBy();
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Value* v = doc.FindField(order[i].field);
+    if (v == nullptr) return -1;  // no position in the order
+    int c = v->Compare(cursor.order_values[i]);
+    if (c != 0) return order[i].descending ? -c : c;
+  }
+  return doc.name().Compare(cursor.name);
 }
 
 int Query::Compare(const Document& a, const Document& b) const {
@@ -235,6 +252,35 @@ int Query::Compare(const Document& a, const Document& b) const {
     if (c != 0) return c;
   }
   return a.name().Compare(b.name());
+}
+
+Document Query::ApplyProjection(Document doc) const {
+  if (projection_.empty()) return doc;
+  Document projected(doc.name(), {});
+  projected.set_create_time(doc.create_time());
+  projected.set_update_time(doc.update_time());
+  for (const FieldPath& f : projection_) {
+    std::optional<Value> v = doc.GetField(f);
+    if (v.has_value()) projected.SetField(f, std::move(*v));
+  }
+  return projected;
+}
+
+std::vector<Document> Query::Evaluate(std::vector<Document> candidates) const {
+  std::erase_if(candidates, [&](const Document& d) { return !Matches(d); });
+  std::sort(candidates.begin(), candidates.end(),
+            [&](const Document& a, const Document& b) {
+              return Compare(a, b) < 0;
+            });
+  candidates.erase(candidates.begin(),
+                   candidates.begin() +
+                       std::min<size_t>(offset_, candidates.size()));
+  if (limit_ > 0 && static_cast<int64_t>(candidates.size()) > limit_) {
+    candidates.resize(limit_);
+  }
+  // Projection comes last: filters, order and cursor need the full document.
+  for (Document& doc : candidates) doc = ApplyProjection(std::move(doc));
+  return candidates;
 }
 
 std::string Query::CanonicalString() const {

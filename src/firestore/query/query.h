@@ -108,18 +108,32 @@ class Query {
   std::vector<OrderBy> NormalizedOrderBy() const;
 
   // Predicate check: does `doc` belong to this query's results? Checks
-  // collection membership, every filter, and presence of ordered fields
+  // collection membership, every filter, presence of ordered fields
   // (documents missing an order-by field are excluded, as they have no index
-  // entry).
+  // entry), and that `doc` sits at or after the start cursor.
   bool Matches(const model::Document& doc) const;
 
   // Comparison of two matching documents under NormalizedOrderBy + name.
   int Compare(const model::Document& a, const model::Document& b) const;
 
+  // `doc` cut down to the projected fields (name and timestamps kept); `doc`
+  // itself when the query has no projection.
+  model::Document ApplyProjection(model::Document doc) const;
+
+  // The query's result over an in-memory candidate set: the candidates that
+  // Match, sorted by Compare, past the offset, cut to the limit, projected.
+  // Every evaluator outside the index executor answers through this.
+  std::vector<model::Document> Evaluate(
+      std::vector<model::Document> candidates) const;
+
   // Stable identity for real-time query registration and dedup.
   std::string CanonicalString() const;
 
  private:
+  // Position of `doc` against the start cursor under NormalizedOrderBy +
+  // name: negative before it, 0 at it, positive after it.
+  int CompareToStartCursor(const model::Document& doc) const;
+
   model::ResourcePath parent_;  // empty for root-level collections
   std::string collection_id_;
   std::vector<FieldFilter> filters_;

@@ -162,10 +162,13 @@ StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
         OnRangeEvent(sub, event);
       });
   // Step 2 (paper): the Backend runs the query like any other query; the
-  // response's timestamp becomes max-commit-version.
+  // response's timestamp becomes max-commit-version. The target holds full
+  // documents (later changes are matched and ordered on them) and projects
+  // only what it delivers.
+  query::Query read = target.query;
+  read.Project({});
   auto initial_or = reader_->RunQuery(target.database_id, *tenant.catalog,
-                                      target.query, /*read_ts=*/0,
-                                      rules, auth);
+                                      read, /*read_ts=*/0, rules, auth);
   if (!initial_or.ok()) {
     // Roll the subscription back so a failed fresh Listen leaks nothing;
     // the out-of-sync retry loop re-subscribes on the next attempt, and
@@ -183,17 +186,15 @@ StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
   target.reset_attempts = 0;
   target.reset_retry_at = 0;
   target.reset_prev_backoff = 0;
-  for (const Document& doc : initial.result.documents) {
-    target.results.emplace(doc.name().CanonicalString(), doc);
-  }
-
   QuerySnapshot snapshot;
   snapshot.snapshot_ts = target.max_commit_version;
   snapshot.is_reset = true;
-  snapshot.documents = initial.result.documents;
-  for (const Document& doc : snapshot.documents) {
+  for (Document& doc : initial.result.documents) {
+    target.results.emplace(doc.name().CanonicalString(), doc);
+    doc = target.query.ApplyProjection(std::move(doc));
     snapshot.changes.push_back({ChangeKind::kAdded, doc});
   }
+  snapshot.documents = std::move(initial.result.documents);
   return snapshot;
 }
 
@@ -249,30 +250,33 @@ QuerySnapshot Frontend::BuildSnapshotLocked(Target& target, Timestamp t) {
     bool now_matches =
         change.new_doc.has_value() && target.query.Matches(*change.new_doc);
     if (now_matches) {
-      SnapshotChange delta;
-      delta.kind = was_present ? ChangeKind::kModified : ChangeKind::kAdded;
-      delta.doc = *change.new_doc;
       // Suppress no-op modifications (same contents).
       if (!was_present || !(existing->second == *change.new_doc)) {
-        snapshot.changes.push_back(std::move(delta));
+        snapshot.changes.push_back(
+            {was_present ? ChangeKind::kModified : ChangeKind::kAdded,
+             target.query.ApplyProjection(*change.new_doc)});
       }
       target.results[name] = *change.new_doc;
     } else if (was_present) {
-      SnapshotChange delta;
-      delta.kind = ChangeKind::kRemoved;
-      delta.doc = existing->second;
-      snapshot.changes.push_back(std::move(delta));
+      snapshot.changes.push_back(
+          {ChangeKind::kRemoved,
+           target.query.ApplyProjection(existing->second)});
       target.results.erase(existing);
     }
   }
   target.pending.erase(target.pending.begin(), end);
   target.max_commit_version = t;
+  // The held results all Match, and only targets without limit or offset
+  // assemble deltas (the rest re-run): what is left is order and projection.
   snapshot.documents.reserve(target.results.size());
   for (auto& [name, doc] : target.results) snapshot.documents.push_back(doc);
   std::sort(snapshot.documents.begin(), snapshot.documents.end(),
             [&](const Document& a, const Document& b) {
               return target.query.Compare(a, b) < 0;
             });
+  for (Document& doc : snapshot.documents) {
+    doc = target.query.ApplyProjection(std::move(doc));
+  }
   return snapshot;
 }
 

@@ -131,7 +131,8 @@ class Frontend {
     std::vector<rtcache::RangeId> ranges;
     // Snapshot the client has seen (max-commit-version).
     spanner::Timestamp max_commit_version = 0;
-    // Current result set, keyed by canonical document name.
+    // Current result set, keyed by canonical document name. Full documents:
+    // the query's projection applies only to what is delivered.
     std::map<std::string, model::Document> results;
     // Buffered relevant changes by commit timestamp.
     std::multimap<spanner::Timestamp, backend::DocumentChange> pending;

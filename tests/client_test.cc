@@ -220,6 +220,131 @@ TEST_F(ClientTest, FilteredListenerWithLocalOverlay) {
   EXPECT_TRUE(rec.last().documents.empty());
 }
 
+TEST_F(ClientTest, OfflineListenerSeesTheWarmCache) {
+  for (const char* path : {"/notes/a", "/notes/b"}) {
+    ASSERT_TRUE(service_
+                    .Commit(kDb, {Mutation::Set(Path(path),
+                                                {{"v", Value::Integer(1)}})})
+                    .ok());
+  }
+  Query q(model::ResourcePath(), "notes");
+  ASSERT_TRUE(client_->RunQuery(q).ok());  // warms the cache
+  client_->SetNetworkEnabled(false);
+  ViewRecorder rec;
+  ASSERT_TRUE(client_->OnSnapshot(q, rec.Callback()).ok());
+  ASSERT_EQ(rec.views.size(), 1u);
+  EXPECT_TRUE(rec.last().from_cache);
+  // The same answer an offline RunQuery gives.
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(client_->RunQuery(q)->documents.size(), 2u);
+}
+
+TEST_F(ClientTest, ListenerCursorHidesLocalWritesBeforeIt) {
+  const Document cursor(Path("/notes/b"), {{"rank", Value::Integer(2)}});
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(cursor.name(), cursor.fields()),
+                                Mutation::Set(Path("/notes/d"),
+                                              {{"rank", Value::Integer(4)}})})
+                  .ok());
+  ViewRecorder rec;
+  Query q(model::ResourcePath(), "notes");
+  q.OrderByField(Field("rank")).StartAfterDoc(cursor);
+  ASSERT_TRUE(client_->OnSnapshot(q, rec.Callback()).ok());
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"d"}));
+  // A local write before the cursor stays out of the view; one after it
+  // enters at once.
+  ASSERT_TRUE(client_->Set(Path("/notes/a"), {{"rank", Value::Integer(1)}})
+                  .ok());
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"d"}));
+  ASSERT_TRUE(client_->Set(Path("/notes/e"), {{"rank", Value::Integer(5)}})
+                  .ok());
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"d", "e"}));
+  // After the flush the server's snapshot agrees: it does not forward `a`.
+  Pump();
+  EXPECT_FALSE(rec.last().has_pending_writes);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"d", "e"}));
+}
+
+TEST_F(ClientTest, DocumentLeavingAListenerIsNotADeletion) {
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(1)}})})
+                  .ok());
+  ViewRecorder rec;
+  Query q(model::ResourcePath(), "notes");
+  q.Where(Field("x"), Operator::kEqual, Value::Integer(1));
+  ASSERT_TRUE(client_->OnSnapshot(q, rec.Callback()).ok());
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"a"}));
+  // Another writer changes the document so that it stops matching.
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(2)}})})
+                  .ok());
+  Pump();
+  EXPECT_TRUE(rec.last().documents.empty());
+  client_->SetNetworkEnabled(false);
+  // The listener only saw the document leave its result: the cache must
+  // not claim it does not exist.
+  auto doc = client_->Get(Path("/notes/a"));
+  EXPECT_EQ(doc.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(ClientTest, DocumentLeavingOneListenerStaysInAnother) {
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(1)}})})
+                  .ok());
+  // The broad listener is attached first, so at a shared snapshot its
+  // change reaches the client before the filtered listener's removal.
+  ViewRecorder all;
+  ASSERT_TRUE(
+      client_->OnSnapshot(Query(model::ResourcePath(), "notes"), all.Callback())
+          .ok());
+  ViewRecorder filtered;
+  Query q(model::ResourcePath(), "notes");
+  q.Where(Field("x"), Operator::kEqual, Value::Integer(1));
+  ASSERT_TRUE(client_->OnSnapshot(q, filtered.Callback()).ok());
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(2)}})})
+                  .ok());
+  Pump();
+  EXPECT_EQ(all.LastIds(), (std::vector<std::string>{"a"}));
+  EXPECT_TRUE(filtered.last().documents.empty());
+  client_->SetNetworkEnabled(false);
+  // The removal at the broad listener's snapshot does not undo what that
+  // listener saw there.
+  auto doc = client_->Get(Path("/notes/a"));
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(doc->has_value());
+  EXPECT_EQ((*doc)->GetField(Field("x"))->integer_value(), 2);
+  ASSERT_TRUE(client_->Set(Path("/notes/z"), {{"x", Value::Integer(3)}}).ok());
+  EXPECT_EQ(all.LastIds(), (std::vector<std::string>{"a", "z"}));
+}
+
+TEST_F(ClientTest, OfflineListenerKeepsItsWindowOverAStaleCache) {
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(1)}})})
+                  .ok());
+  Query q(model::ResourcePath(), "notes");
+  q.Where(Field("x"), Operator::kEqual, Value::Integer(1));
+  ASSERT_TRUE(client_->RunQuery(q).ok());  // caches a{x=1}
+  // The document stops matching before the listener attaches, so the
+  // listener never removes it and the cache entry stays stale.
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/notes/a"),
+                                              {{"x", Value::Integer(2)}})})
+                  .ok());
+  ViewRecorder rec;
+  ASSERT_TRUE(client_->OnSnapshot(q, rec.Callback()).ok());
+  EXPECT_TRUE(rec.last().documents.empty());
+  client_->SetNetworkEnabled(false);
+  ASSERT_TRUE(client_->Set(Path("/notes/b"), {{"x", Value::Integer(1)}}).ok());
+  EXPECT_TRUE(rec.last().from_cache);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"b"}));
+}
+
 // ---------------------------------------------------------------------------
 // Two clients: end-to-end collaboration
 

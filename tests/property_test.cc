@@ -123,6 +123,7 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
   struct Watch {
     Query query{model::ResourcePath(), ""};
     std::map<std::string, Document> state;
+    std::vector<Document> documents;  // the last delivered result list
     spanner::Timestamp last_ts = 0;
     std::vector<spanner::Timestamp> delivered_at;
   };
@@ -141,6 +142,16 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
   above.query = Query(model::ResourcePath(), "alpha");
   above.query.Where(Field("v"), query::Operator::kGreaterThan,
                     Value::Integer(50));
+  // Two more join midway, on connections of their own, so their initial
+  // reads find documents: after, behind a name cursor that no later
+  // document before it may pass; and ranked, ordered by a field its
+  // projection leaves out, so it must order full documents and deliver
+  // projected ones.
+  Watch after, ranked;
+  after.query = Query(model::ResourcePath(), "alpha");
+  after.query.StartAfterDoc(Document(Path("/alpha/d3"), {}));
+  ranked.query = Query(model::ResourcePath(), "beta");
+  ranked.query.OrderByField(Field("v")).Project({Field("hot")});
   auto attach = [&](Watch& w, frontend::Frontend::ConnectionId on) {
     auto target = service.frontend().Listen(
         on, w.query, [&w](const frontend::QuerySnapshot& s) {
@@ -152,6 +163,7 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
               w.state[change.doc.name().CanonicalString()] = change.doc;
             }
           }
+          w.documents = s.documents;
           EXPECT_GE(s.snapshot_ts, w.last_ts);
           w.last_ts = s.snapshot_ts;
           w.delivered_at.push_back(s.snapshot_ts);
@@ -162,8 +174,10 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
   attach(beta, conn);
   attach(rare, service.frontend().OpenPrivilegedConnection(kDb));
   attach(above, service.frontend().OpenPrivilegedConnection(kDb));
+  std::vector<Watch*> watches = {&alpha, &beta, &rare, &above};
 
-  // Compares the listener's state with a rerun at `at` (0 = latest).
+  // Compares the listener's state, and its last delivered result list in
+  // order, with a rerun at `at` (0 = latest).
   auto verify = [&](Watch& w, spanner::Timestamp at) {
     auto rerun = service.RunQuery(kDb, w.query, at);
     ASSERT_TRUE(rerun.ok());
@@ -172,11 +186,25 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
     for (const Document& doc : rerun->result.documents) {
       auto it = w.state.find(doc.name().CanonicalString());
       ASSERT_NE(it, w.state.end());
-      EXPECT_TRUE(it->second == doc);
+      EXPECT_TRUE(it->second == doc) << it->second.ToString() << " vs "
+                                     << doc.ToString();
+    }
+    ASSERT_EQ(w.documents.size(), rerun->result.documents.size());
+    for (size_t i = 0; i < w.documents.size(); ++i) {
+      EXPECT_TRUE(w.documents[i] == rerun->result.documents[i])
+          << w.query.CanonicalString() << " at " << i << ": "
+          << w.documents[i].ToString() << " vs "
+          << rerun->result.documents[i].ToString();
     }
   };
 
   for (int step = 0; step < 120; ++step) {
+    if (step == 60) {
+      attach(after, service.frontend().OpenPrivilegedConnection(kDb));
+      attach(ranked, service.frontend().OpenPrivilegedConnection(kDb));
+      watches.push_back(&after);
+      watches.push_back(&ranked);
+    }
     // Random mutation in one of the two collections.
     std::string collection = rng.Bernoulli(0.5) ? "alpha" : "beta";
     std::string path =
@@ -198,7 +226,7 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
       clock.AdvanceBy(static_cast<Micros>(rng.Uniform(1'000, 200'000)));
       service.Pump();
       service.Pump();
-      for (Watch* w : {&alpha, &beta, &rare, &above}) verify(*w, w->last_ts);
+      for (Watch* w : watches) verify(*w, w->last_ts);
       // Invariant 5: snapshots are only delivered at timestamps every query
       // on the connection has reached — so when both queries deliver in the
       // same round, they deliver at the same timestamp. (A query with no
@@ -215,7 +243,7 @@ TEST_P(RealtimePropertyTest, SnapshotsMatchRerunsUnderRandomWorkload) {
   service.Pump();
   // Every commit is now released and delivered, so each listener, idle or
   // not, holds the latest results.
-  for (Watch* w : {&alpha, &beta, &rare, &above}) {
+  for (Watch* w : watches) {
     verify(*w, w->last_ts);
     verify(*w, 0);
   }
@@ -255,6 +283,7 @@ TEST_P(OfflinePropertyTest, RandomDisconnectsConverge) {
     std::string path = "/notes/n" + std::to_string(rng.Uniform(0, 6));
     Map fields;
     fields["v"] = Value::Integer(rng.Uniform(0, 1000));
+    fields["step"] = Value::Integer(step);  // dropped by a projection below
     switch (action) {
       case 0:
         flaky.SetNetworkEnabled(false);
@@ -302,6 +331,29 @@ TEST_P(OfflinePropertyTest, RandomDisconnectsConverge) {
     for (size_t i = 0; i < view->documents.size(); ++i) {
       EXPECT_TRUE(view->documents[i] == server->result.documents[i]);
     }
+  }
+
+  // Offline, a query with an order, a cursor and a projection gives the
+  // server's answer from the flaky client's cache. (Only that client's:
+  // with no listener, the stable client never learns of the flaky client's
+  // deletes, so its cache may keep documents the server no longer has.)
+  ASSERT_FALSE(server->result.documents.empty());
+  Query paged(model::ResourcePath(), "notes");
+  paged.OrderByField(Field("v"), /*descending=*/true)
+      .StartAfterDoc(
+          server->result.documents[server->result.documents.size() / 2])
+      .Project({Field("v")});
+  auto server_paged = service.RunQuery(kDb, paged);
+  ASSERT_TRUE(server_paged.ok());
+  flaky.SetNetworkEnabled(false);
+  auto offline = flaky.RunQuery(paged);
+  ASSERT_TRUE(offline.ok());
+  EXPECT_TRUE(offline->from_cache);
+  ASSERT_EQ(offline->documents.size(), server_paged->result.documents.size());
+  for (size_t i = 0; i < offline->documents.size(); ++i) {
+    EXPECT_TRUE(offline->documents[i] == server_paged->result.documents[i])
+        << offline->documents[i].ToString() << " vs "
+        << server_paged->result.documents[i].ToString();
   }
 }
 
