@@ -272,6 +272,7 @@ void FirestoreClient::DeliverView(Listener& listener) {
   view.snapshot_ts = listener.server_snapshot_ts;
   view.from_cache = !listener.has_server_snapshot || !online_;
   view.has_pending_writes = store_.PendingAffects(listener.query);
+  listener.shows_pending_writes = view.has_pending_writes;
   if (!listener.has_server_snapshot) {
     view.documents = store_.RunLocalQuery(listener.query);
     listener.callback(view);
@@ -309,11 +310,22 @@ Status FirestoreClient::FlushPending() {
   if (service_->clock().NowMicros() < flush_retry_at_) {
     return Status::Ok();  // backing off after a transient failure
   }
+  // A listener callback runs inside SendCommit and may write, which grows
+  // the queue, or pump, which would send its front a second time.
+  if (flushing_) return Status::Ok();
+  flushing_ = true;
+  Status status = FlushQueue();
+  flushing_ = false;
+  return status;
+}
+
+Status FirestoreClient::FlushQueue() {
   while (store_.HasPending()) {
-    const PendingMutation& next = store_.pending().front();
+    const uint64_t sequence = store_.pending().front().sequence;
+    const Mutation mutation = store_.pending().front().mutation;
     Status fault = FS_FAULT_POINT("client.flush");
     StatusOr<backend::CommitResponse> result =
-        fault.ok() ? SendCommit({next.mutation})
+        fault.ok() ? SendCommit({mutation})
                    : StatusOr<backend::CommitResponse>(fault);
     if (result.ok()) {
       ++writes_flushed_;
@@ -325,7 +337,21 @@ Status FirestoreClient::FlushPending() {
             change.deleted ? std::nullopt : change.new_doc,
             result->commit_ts);
       }
-      store_.AckThrough(next.sequence);
+      store_.AckThrough(sequence);
+      // The server's snapshot of the write can reach a listener during the
+      // commit, while the write is still pending: refresh what it shows.
+      // By id, since a view's callback may add or remove listeners.
+      std::vector<ListenerId> stale;
+      for (auto& [id, listener] : listeners_) {
+        if (listener.shows_pending_writes &&
+            !store_.PendingAffects(listener.query)) {
+          stale.push_back(id);
+        }
+      }
+      for (ListenerId id : stale) {
+        auto it = listeners_.find(id);
+        if (it != listeners_.end()) DeliverView(it->second);
+      }
     } else if (IsRetryableWriteStatus(result.status()) ||
                result.status().code() == StatusCode::kDeadlineExceeded) {
       // Transient (mutations are blind last-write-wins, so even an
@@ -346,7 +372,7 @@ Status FirestoreClient::FlushPending() {
       // the queue does not wedge; local view reconciles to server state.
       ++write_errors_;
       FS_LOG(WARNING) << "dropping rejected write: " << result.status();
-      store_.AckThrough(next.sequence);
+      store_.AckThrough(sequence);
       for (auto& [id, listener] : listeners_) DeliverView(listener);
     }
   }

@@ -137,6 +137,8 @@ class FirestoreClient {
     std::map<std::string, model::Document> server_docs;
     int64_t server_snapshot_ts = 0;
     bool has_server_snapshot = false;
+    // The last view had has_pending_writes set.
+    bool shows_pending_writes = false;
   };
 
   Status EnqueueWrite(backend::Mutation mutation);
@@ -148,6 +150,7 @@ class FirestoreClient {
   // callback.
   void DeliverView(Listener& listener);
   Status FlushPending();
+  Status FlushQueue();  // FlushPending's loop
   StatusOr<backend::CommitResponse> SendCommit(
       const std::vector<backend::Mutation>& mutations);
 
@@ -167,6 +170,7 @@ class FirestoreClient {
   Rng flush_rng_{0x5eed};
   Micros flush_retry_at_ = 0;
   Micros flush_prev_backoff_ = 0;
+  bool flushing_ = false;  // FlushPending is on the stack
 };
 
 }  // namespace firestore::client

@@ -1,6 +1,7 @@
 #include "frontend/frontend.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/bytes.h"
 #include "common/fault_injection.h"
@@ -31,7 +32,11 @@ Frontend::Frontend(const Clock* clock, backend::ReadService* reader,
       tenants_(std::move(tenants)),
       options_(options),
       snapshots_counter_(FS_METRIC_COUNTER("frontend.snapshots")),
-      resets_counter_(FS_METRIC_COUNTER("frontend.resets")) {}
+      resets_counter_(FS_METRIC_COUNTER("frontend.resets")) {
+  matcher_->SetWatermarkObserver([this] { DeliverDirty(); });
+}
+
+Frontend::~Frontend() { matcher_->SetWatermarkObserver(nullptr); }
 
 Frontend::ConnectionId Frontend::OpenConnection(
     const std::string& database_id, rules::AuthContext auth) {
@@ -55,14 +60,14 @@ void Frontend::CloseConnection(ConnectionId connection) {
     MutexLock lock(&mu_);
     auto it = connections_.find(connection);
     if (it == connections_.end()) return;
-    for (TargetId t : it->second.targets) {
-      auto target = targets_.find(t);
-      if (target == targets_.end()) continue;
-      to_unsubscribe.push_back(target->second.subscription_id);
-      by_subscription_.erase(target->second.subscription_id);
-      targets_.erase(target);
+    for (TargetId t : std::vector<TargetId>(it->second.targets)) {
+      to_unsubscribe.push_back(EraseTargetLocked(t));
     }
     connections_.erase(it);
+    dirty_.erase(connection);
+    ForgetDeliveriesLocked([connection](const Delivery& d) {
+      return d.connection == connection;
+    });
   }
   for (uint64_t sub : to_unsubscribe) matcher_->Unsubscribe(sub);
 }
@@ -72,8 +77,6 @@ StatusOr<Frontend::TargetId> Frontend::Listen(ConnectionId connection,
                                               SnapshotCallback callback) {
   FS_SPAN("frontend.listen");
   RETURN_IF_ERROR(q.Validate());
-  QuerySnapshot initial;
-  SnapshotCallback cb_copy;
   TargetId id;
   {
     MutexLock lock(&mu_);
@@ -89,13 +92,14 @@ StatusOr<Frontend::TargetId> Frontend::Listen(ConnectionId connection,
     target.callback = std::move(callback);
     target.delta_capable =
         target.query.limit() == 0 && target.query.offset() == 0;
-    ASSIGN_OR_RETURN(initial, ResetTargetLocked(id, target));
-    cb_copy = target.callback;
+    ASSIGN_OR_RETURN(QuerySnapshot initial, ResetTargetLocked(id, target));
+    // Queued in the critical section that registers the target, so no
+    // later snapshot of it can be delivered first.
+    QueueLocked(id, target, std::move(initial));
     conn->second.targets.push_back(id);
     targets_.emplace(id, std::move(target));
   }
-  snapshots_counter_.Increment();
-  cb_copy(initial);
+  DrainOutbox();
   return id;
 }
 
@@ -104,20 +108,47 @@ Status Frontend::StopListen(ConnectionId connection, TargetId target_id) {
   {
     MutexLock lock(&mu_);
     auto it = targets_.find(target_id);
-    if (it == targets_.end() || it->second.connection != connection) {
-      return NotFoundError("no such listen target");
-    }
-    sub = it->second.subscription_id;
-    by_subscription_.erase(sub);
-    targets_.erase(it);
-    auto conn = connections_.find(connection);
-    if (conn != connections_.end()) {
-      auto& ts = conn->second.targets;
-      ts.erase(std::remove(ts.begin(), ts.end(), target_id), ts.end());
-    }
+    const bool found =
+        it != targets_.end() && it->second.connection == connection;
+    if (found) sub = EraseTargetLocked(target_id);
+    // Also drops the terminal error of a target Pump already tore down.
+    ForgetDeliveriesLocked([&](const Delivery& d) {
+      return d.target == target_id && d.connection == connection;
+    });
+    if (!found) return NotFoundError("no such listen target");
   }
   matcher_->Unsubscribe(sub);
   return Status::Ok();
+}
+
+void Frontend::ForgetDeliveriesLocked(
+    const std::function<bool(const Delivery&)>& stopped) {
+  std::erase_if(outbox_, stopped);
+  while (calling_ != nullptr && deliverer_ != std::this_thread::get_id() &&
+         stopped(*calling_)) {
+    delivered_.Wait(&mu_);
+  }
+}
+
+void Frontend::QueueLocked(TargetId id, const Target& target,
+                           QuerySnapshot snapshot) {
+  outbox_.push_back({++queued_, id, target.connection, target.callback,
+                     std::move(snapshot)});
+}
+
+uint64_t Frontend::EraseTargetLocked(TargetId id) {
+  auto it = targets_.find(id);
+  if (it == targets_.end()) return 0;
+  const uint64_t sub = it->second.subscription_id;
+  by_subscription_.erase(sub);
+  resets_.erase(id);
+  auto conn = connections_.find(it->second.connection);
+  if (conn != connections_.end()) {
+    auto& ts = conn->second.targets;
+    ts.erase(std::remove(ts.begin(), ts.end(), id), ts.end());
+  }
+  targets_.erase(it);
+  return sub;
 }
 
 StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
@@ -182,7 +213,6 @@ StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
   target.max_commit_version = initial.read_ts;
   target.results.clear();
   target.pending.clear();
-  target.needs_reset = false;
   target.reset_attempts = 0;
   target.reset_retry_at = 0;
   target.reset_prev_backoff = 0;
@@ -210,23 +240,83 @@ void Frontend::OnRangeEvent(uint64_t subscription_id,
     case rtcache::RangeEvent::Type::kChange:
       // Updates at or before the initial snapshot are already reflected.
       if (event.ts <= target.max_commit_version) return;
+      if (!target.delta_capable) {
+        // Never a delta: re-run at Pump. The change is committed, so that
+        // strong read covers it.
+        resets_.insert(it->first);
+        return;
+      }
       target.pending.emplace(event.ts, event.change);
+      dirty_.insert(target.connection);
       break;
     case rtcache::RangeEvent::Type::kOutOfSync:
-      target.needs_reset = true;
+      resets_.insert(it->first);
       break;
   }
 }
 
+void Frontend::DeliverDirty() {
+  {
+    MutexLock lock(&mu_);
+    for (auto it = dirty_.begin(); it != dirty_.end();) {
+      auto conn = connections_.find(*it);
+      if (conn == connections_.end() ||
+          AdvanceConnectionLocked(conn->second)) {
+        it = dirty_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    if (outbox_.empty()) return;
+  }
+  DrainOutbox();
+}
+
 Timestamp Frontend::RangeWatermarkLocked(const Target& target) const {
+  // A watermark W is published only after every release at or below W has
+  // finished OnRangeEvent (under mu_), so the target's pending buffer is
+  // complete through W. A target subscribed since (by a Listen, or a
+  // reset) may use W at once: anything drained before its Subscribe was
+  // accepted after its Spanner commit, so it has ts <=
+  // StrongReadTimestamp() = R, the target's snapshot read, and anything
+  // drained after it reached the target's buffer.
   Timestamp wm = spanner::kMaxTimestamp;
   for (rtcache::RangeId r : target.ranges) {
-    Timestamp range_wm = static_cast<size_t>(r) < range_watermarks_.size()
-                             ? range_watermarks_[r]
-                             : 0;
-    wm = std::min(wm, range_wm);
+    wm = std::min(wm, matcher_->watermark(r));
   }
   return wm;
+}
+
+bool Frontend::AdvanceConnectionLocked(const Connection& connection) {
+  Timestamp t = spanner::kMaxTimestamp;
+  for (TargetId tid : connection.targets) {
+    const Target& target = targets_.at(tid);
+    // A target awaiting its reset cannot advance: the Changelog discarded
+    // part of its update stream, so deltas assembled now would silently
+    // skip the gap. It also pins the connection (queries on one connection
+    // advance together).
+    Timestamp achievable =
+        resets_.count(tid) != 0
+            ? target.max_commit_version
+            : std::max(target.max_commit_version,
+                       RangeWatermarkLocked(target));
+    t = std::min(t, achievable);
+  }
+  bool settled = true;
+  for (TargetId tid : connection.targets) {
+    Target& target = targets_.at(tid);
+    if (target.pending.empty()) continue;
+    // Every change still pending is above max_commit_version, so a target
+    // with one at or below t also has its watermark at t or above.
+    if (resets_.count(tid) == 0 && target.pending.begin()->first <= t) {
+      QuerySnapshot snapshot = BuildSnapshotLocked(target, t);
+      if (!snapshot.changes.empty()) {
+        QueueLocked(tid, target, std::move(snapshot));
+      }
+    }
+    settled = settled && target.pending.empty();
+  }
+  return settled;
 }
 
 QuerySnapshot Frontend::BuildSnapshotLocked(Target& target, Timestamp t) {
@@ -281,117 +371,90 @@ QuerySnapshot Frontend::BuildSnapshotLocked(Target& target, Timestamp t) {
 }
 
 void Frontend::Pump() {
-  // Deliveries are collected under the lock and fired outside it.
-  std::vector<std::pair<SnapshotCallback, QuerySnapshot>> deliveries;
   std::vector<uint64_t> to_unsubscribe;
   {
     MutexLock lock(&mu_);
-    // One read of the published per-range watermarks serves every target.
-    // A watermark W is published only after every release at or below W
-    // has finished OnRangeEvent (under mu_), so the targets' pending
-    // buffers are complete through W. A target subscribed since (by a
-    // Listen, or a reset below) may use W at once: anything drained before
-    // its Subscribe was accepted after its Spanner commit, so it has
-    // ts <= StrongReadTimestamp() = R, the target's snapshot read, and
-    // anything drained after it reached the target's buffer.
-    range_watermarks_ = matcher_->watermarks();
-    // 1. Resets: out-of-sync targets and limit/offset targets with pending
-    //    relevant changes re-run their initial snapshot. Failed re-reads
-    //    retry with backoff; after the retry budget the target is torn down
-    //    and the listener is told via a terminal error snapshot.
-    for (auto it = targets_.begin(); it != targets_.end();) {
-      TargetId id = it->first;
-      Target& target = it->second;
-      if (!target.needs_reset && !target.delta_capable &&
-          !target.pending.empty()) {
-        // Only reset when the pending changes are complete enough to have
-        // been deliverable (otherwise we may reset repeatedly).
-        if (RangeWatermarkLocked(target) >= target.pending.begin()->first) {
-          target.needs_reset = true;
-        }
-      }
-      if (!target.needs_reset ||
-          clock_->NowMicros() < target.reset_retry_at) {
+    // Failed re-reads retry with backoff; after the retry budget the target
+    // is torn down and the listener is told via a terminal error snapshot.
+    const Micros now = clock_->NowMicros();
+    for (auto it = resets_.begin(); it != resets_.end();) {
+      const TargetId id = *it;
+      Target& target = targets_.at(id);
+      if (now < target.reset_retry_at) {
         ++it;
         continue;
       }
       resets_counter_.Increment();
       StatusOr<QuerySnapshot> snapshot = ResetTargetLocked(id, target);
-      if (snapshot.ok()) {
-        deliveries.emplace_back(target.callback, std::move(*snapshot));
+      if (!snapshot.ok() &&
+          ++target.reset_attempts < options_.reset_retry.max_attempts) {
+        target.reset_retry_at =
+            now + NextBackoff(options_.reset_retry, retry_rng_,
+                              &target.reset_prev_backoff);
         ++it;
         continue;
       }
-      ++target.reset_attempts;
-      if (target.reset_attempts < options_.reset_retry.max_attempts) {
-        target.reset_retry_at =
-            clock_->NowMicros() + NextBackoff(options_.reset_retry,
-                                              retry_rng_,
-                                              &target.reset_prev_backoff);
-        ++it;
+      it = resets_.erase(it);
+      if (snapshot.ok()) {
+        QueueLocked(id, target, std::move(*snapshot));
         continue;
       }
       // Budget exhausted: surface the failure and drop the target.
       QuerySnapshot failure;
       failure.snapshot_ts = target.max_commit_version;
       failure.error = snapshot.status();
-      deliveries.emplace_back(target.callback, std::move(failure));
-      if (target.subscription_id != 0) {
-        by_subscription_.erase(target.subscription_id);
-        to_unsubscribe.push_back(target.subscription_id);
-      }
-      auto conn = connections_.find(target.connection);
-      if (conn != connections_.end()) {
-        auto& ts = conn->second.targets;
-        ts.erase(std::remove(ts.begin(), ts.end(), id), ts.end());
-      }
-      it = targets_.erase(it);
-    }
-    // 2. Connection-consistent incremental snapshots.
-    for (auto& [conn_id, conn] : connections_) {
-      if (conn.targets.empty()) continue;
-      Timestamp t = spanner::kMaxTimestamp;
-      for (TargetId tid : conn.targets) {
-        const Target& target = targets_.at(tid);
-        // An out-of-sync target cannot advance until its reset succeeds:
-        // the Changelog discarded part of its update stream, so deltas
-        // assembled now would silently skip the gap. It also pins the
-        // connection (queries on one connection advance together).
-        Timestamp achievable =
-            target.needs_reset
-                ? target.max_commit_version
-                : std::max(target.max_commit_version,
-                           RangeWatermarkLocked(target));
-        t = std::min(t, achievable);
-      }
-      if (t == spanner::kMaxTimestamp) continue;
-      for (TargetId tid : conn.targets) {
-        Target& target = targets_.at(tid);
-        if (target.needs_reset) continue;
-        if (target.max_commit_version >= t) continue;
-        if (RangeWatermarkLocked(target) < t) continue;  // cannot advance
-        // No relevant change through t: advance silently, skipping an
-        // assembly whose snapshot would carry no changes.
-        if (target.pending.empty() || target.pending.begin()->first > t) {
-          target.max_commit_version = t;
-          continue;
-        }
-        QuerySnapshot snapshot = BuildSnapshotLocked(target, t);
-        if (!snapshot.changes.empty()) {
-          deliveries.emplace_back(target.callback, std::move(snapshot));
-        }
-      }
+      QueueLocked(id, target, std::move(failure));
+      to_unsubscribe.push_back(EraseTargetLocked(id));
     }
   }
   for (uint64_t sub : to_unsubscribe) matcher_->Unsubscribe(sub);
-  for (auto& [callback, snapshot] : deliveries) {
-    snapshots_counter_.Increment();
-    // Resume the originating commit's trace for the notification leg: this
-    // is the write-to-listener latency the paper's Figure 9 measures.
-    TraceScope scope(snapshot.trace);
-    FS_SPAN("frontend.deliver");
-    callback(snapshot);
+  DeliverDirty();  // connections the resets pinned may advance now
+}
+
+void Frontend::DrainOutbox() {
+  const std::thread::id self = std::this_thread::get_id();
+  mu_.Lock();
+  const uint64_t mine = queued_;
+  if (deliverer_ == self) {
+    // Called from a callback (a Listen, a commit): the loop further up this
+    // thread's stack delivers these too before it stops.
+    deliver_to_ = std::max(deliver_to_, mine);
+    mu_.Unlock();
+    return;
   }
+  // As in the Changelog, each caller waits until its own snapshots are
+  // delivered, delivering them itself once no other thread is, and a
+  // deliverer stops after its own: a pump never delivers a committer's
+  // fanout, nor a committer another's, without end.
+  while (!outbox_.empty() && outbox_.front().seq <= mine) {
+    if (deliverer_ != std::thread::id()) {
+      delivered_.Wait(&mu_);
+      continue;
+    }
+    deliverer_ = self;
+    deliver_to_ = mine;
+    while (!outbox_.empty() && outbox_.front().seq <= deliver_to_) {
+      Delivery delivery = std::move(outbox_.front());
+      outbox_.pop_front();
+      calling_ = &delivery;
+      mu_.Unlock();
+      snapshots_counter_.Increment();
+      {
+        // Resume the originating commit's trace for the notification leg:
+        // this is the write-to-listener latency the paper's Figure 9
+        // measures.
+        TraceScope scope(delivery.snapshot.trace);
+        FS_SPAN("frontend.deliver");
+        delivery.callback(delivery.snapshot);
+      }
+      mu_.Lock();
+      calling_ = nullptr;
+      delivered_.NotifyAll();  // a StopListen may wait for this callback
+    }
+    deliverer_ = std::thread::id();
+    delivered_.NotifyAll();
+  }
+  mu_.Unlock();
 }
 
 int Frontend::active_targets() const {

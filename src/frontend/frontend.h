@@ -13,15 +13,23 @@
 //    least t");
 //  - an out-of-sync range resets the affected queries: accumulated state is
 //    discarded and the initial-snapshot path re-runs.
+//
+// Delivery follows the commit: each published watermark advances the
+// connections a relevant change made dirty. Every snapshot goes through one
+// FIFO outbox with a single active deliverer, so callbacks never overlap,
+// may run on the committing thread, and reach each target in order.
 
 #ifndef FIRESTORE_FRONTEND_FRONTEND_H_
 #define FIRESTORE_FRONTEND_FRONTEND_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/read_service.h"
@@ -99,6 +107,7 @@ class Frontend {
            rtcache::QueryMatcher* matcher,
            const rtcache::RangeOwnership* ranges, TenantResolver tenants,
            Options options);
+  ~Frontend();
 
   // Opens a long-lived connection for one end user to one database; the
   // tenant's security rules authorize every query with this auth context.
@@ -108,15 +117,19 @@ class Frontend {
   ConnectionId OpenPrivilegedConnection(const std::string& database_id);
   void CloseConnection(ConnectionId connection);
 
-  // Registers a real-time query. The initial snapshot is delivered to
-  // `callback` synchronously before Listen returns; incremental snapshots
-  // follow from Pump().
+  // Registers a real-time query. The initial snapshot is delivered before
+  // Listen returns, unless Listen is called from a callback: then after
+  // that callback returns.
   StatusOr<TargetId> Listen(ConnectionId connection, query::Query q,
                             SnapshotCallback callback);
+  // After StopListen returns, no callback of the target runs, except one
+  // that called it; one running on another thread is waited for. The same
+  // holds for CloseConnection and every target of the connection.
   Status StopListen(ConnectionId connection, TargetId target);
 
-  // Drains buffered range events and delivers every snapshot that is
-  // consistent under the rules above. Call after Changelog::Tick().
+  // Re-runs the targets that need it: out-of-sync ones and limit/offset
+  // ones with a relevant change, with backoff between failed attempts.
+  // Call after Changelog::Tick().
   void Pump();
 
   int active_targets() const;
@@ -136,7 +149,6 @@ class Frontend {
     std::map<std::string, model::Document> results;
     // Buffered relevant changes by commit timestamp.
     std::multimap<spanner::Timestamp, backend::DocumentChange> pending;
-    bool needs_reset = false;
     // Queries with limit/offset are re-run on every relevant change (the
     // frontend cannot know which document enters a truncated result set).
     bool delta_capable = true;
@@ -154,21 +166,50 @@ class Frontend {
     std::vector<TargetId> targets;
   };
 
+  // A snapshot waiting in the outbox for its target's callback.
+  struct Delivery {
+    uint64_t seq = 0;  // position in the outbox, from 1
+    TargetId target = 0;
+    ConnectionId connection = 0;
+    SnapshotCallback callback;
+    QuerySnapshot snapshot;
+  };
+
   // Runs the query's initial snapshot and (re)subscribes. Fills result set
   // and max_commit_version; returns the snapshot to deliver.
   StatusOr<QuerySnapshot> ResetTargetLocked(TargetId id, Target& target)
       FS_REQUIRES(mu_);
 
-  // Min published watermark across the target's subscribed ranges, as of
-  // the table copy taken at the start of the current Pump.
+  // Forgets a target; returns its subscription, which the caller drops
+  // outside mu_ (0 if it has none).
+  uint64_t EraseTargetLocked(TargetId id) FS_REQUIRES(mu_);
+
+  // Min published watermark across the target's subscribed ranges.
   spanner::Timestamp RangeWatermarkLocked(const Target& target) const
       FS_REQUIRES(mu_);
 
   void OnRangeEvent(uint64_t subscription_id,
                     const rtcache::RangeEvent& event);
+  // The QueryMatcher's watermark observer, and Pump's last step. A
+  // connection stays dirty while a target on it still holds changes.
+  void DeliverDirty() FS_EXCLUDES(mu_);
+  // Queues the connection's snapshots; returns whether every target on it
+  // is left with no change.
+  bool AdvanceConnectionLocked(const Connection& connection)
+      FS_REQUIRES(mu_);
 
   QuerySnapshot BuildSnapshotLocked(Target& target, spanner::Timestamp t)
       FS_REQUIRES(mu_);
+
+  void QueueLocked(TargetId id, const Target& target, QuerySnapshot snapshot)
+      FS_REQUIRES(mu_);
+  // Drops the queued snapshots `stopped` matches, and waits out a callback
+  // it matches that another thread is running.
+  void ForgetDeliveriesLocked(
+      const std::function<bool(const Delivery&)>& stopped) FS_REQUIRES(mu_);
+  // Fires the outbox FIFO, outside mu_, through the snapshots queued so
+  // far (docs/realtime_protocol.md, "Delivery contract").
+  void DrainOutbox() FS_EXCLUDES(mu_);
 
   const Clock* const clock_;
   backend::ReadService* const reader_;
@@ -191,8 +232,18 @@ class Frontend {
   std::map<ConnectionId, Connection> connections_ FS_GUARDED_BY(mu_);
   std::map<TargetId, Target> targets_ FS_GUARDED_BY(mu_);
   std::map<uint64_t, TargetId> by_subscription_ FS_GUARDED_BY(mu_);
-  // Pump's copy of the Query Matcher's per-range watermark table.
-  std::vector<spanner::Timestamp> range_watermarks_ FS_GUARDED_BY(mu_);
+  // Connections with a target holding changes a watermark may release.
+  std::set<ConnectionId> dirty_ FS_GUARDED_BY(mu_);
+  // Targets Pump must re-run. Each pins its connection meanwhile.
+  std::set<TargetId> resets_ FS_GUARDED_BY(mu_);
+  std::deque<Delivery> outbox_ FS_GUARDED_BY(mu_);
+  uint64_t queued_ FS_GUARDED_BY(mu_) = 0;  // the last Delivery::seq
+  // The one thread delivering (none: the default id), the last snapshot it
+  // delivers, and the delivery whose callback it runs (null between them).
+  std::thread::id deliverer_ FS_GUARDED_BY(mu_);
+  uint64_t deliver_to_ FS_GUARDED_BY(mu_) = 0;
+  const Delivery* calling_ FS_GUARDED_BY(mu_) = nullptr;
+  CondVar delivered_;  // a callback returned, or a deliverer stopped
   // Registry-backed stats (frontend.*, docs/OBSERVABILITY.md).
   Counter& snapshots_counter_;
   Counter& resets_counter_;

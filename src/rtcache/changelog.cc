@@ -47,10 +47,10 @@ StatusOr<PrepareHandle> Changelog::Prepare(
       touched.push_back(r);
     }
   }
-  // The assigned minimum must exceed every affected range's watermark and
-  // previously assigned minimum (so completeness is monotone), and be at
-  // least the current time.
-  Timestamp m = clock_->NowMicros();
+  // The assigned minimum must exceed every affected range's watermark, the
+  // idle watermark and the range's previously assigned minimum (so
+  // completeness is monotone), and be at least the current time.
+  Timestamp m = std::max(clock_->NowMicros(), idle_watermark_ + 1);
   for (RangeId r : touched) {
     RangeState& state = range_states_[r];
     m = std::max(m, state.last_assigned_min + 1);
@@ -61,6 +61,7 @@ StatusOr<PrepareHandle> Changelog::Prepare(
     state.last_assigned_min = m;
     state.outstanding[m] += 1;
   }
+  holds_[m] += 1;
   PendingPrepare pending;
   pending.database_id = database_id;
   pending.min_ts = m;
@@ -105,23 +106,7 @@ void Changelog::Accept(uint64_t token, WriteOutcome outcome,
         }
         break;
     }
-    // Releasing may now be possible on the affected ranges.
-    for (RangeId r : pending.ranges) {
-      RangeState& state = range_states_[r];
-      Timestamp releasable = state.outstanding.empty()
-                                 ? state.watermark
-                                 : state.outstanding.begin()->first - 1;
-      while (!state.buffer.empty() &&
-             state.buffer.begin()->first <= releasable) {
-        auto entry = state.buffer.begin();
-        notify_queue_.push_back({Notification::Kind::kRelease, r,
-                                 entry->first,
-                                 std::move(entry->second.database_id),
-                                 std::move(entry->second.change)});
-        state.buffer.erase(entry);
-        released_counter_.Increment();
-      }
-    }
+    AdvanceLocked(pending.ranges, std::max(clock_->NowMicros(), commit_ts));
   }
   DrainNotifications();
 }
@@ -131,46 +116,71 @@ void Changelog::Tick() {
     MutexLock lock(&mu_);
     Timestamp now = clock_->NowMicros();
     // Expire overdue prepares: their ranges lose ordering guarantees.
+    std::vector<RangeId> expired;
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->second.expiry >= now) {
         ++it;
         continue;
       }
       ReleaseHoldLocked(it->second);
-      for (RangeId r : it->second.ranges) MarkOutOfSyncLocked(r);
+      for (RangeId r : it->second.ranges) {
+        MarkOutOfSyncLocked(r);
+        expired.push_back(r);
+      }
       it = pending_.erase(it);
     }
-    // Advance watermarks and release complete prefixes.
-    for (RangeId r = 0; r < ranges_->num_ranges(); ++r) {
-      RangeState& state = range_states_[r];
-      Timestamp w = state.outstanding.empty()
-                        ? std::max(state.watermark, now)
-                        : std::max(state.watermark,
-                                   state.outstanding.begin()->first - 1);
-      state.watermark = w;
-      while (!state.buffer.empty() && state.buffer.begin()->first <= w) {
-        auto entry = state.buffer.begin();
-        notify_queue_.push_back({Notification::Kind::kRelease, r,
-                                 entry->first,
-                                 std::move(entry->second.database_id),
-                                 std::move(entry->second.change)});
-        state.buffer.erase(entry);
-        released_counter_.Increment();
-      }
-      notify_queue_.push_back(
-          {Notification::Kind::kWatermark, r, w, {}, {}});
-    }
+    AdvanceLocked(expired, now);
   }
   DrainNotifications();
 }
 
 void Changelog::ReleaseHoldLocked(const PendingPrepare& pending) {
-  for (RangeId r : pending.ranges) {
-    std::map<Timestamp, int>& outstanding = range_states_[r].outstanding;
-    auto out = outstanding.find(pending.min_ts);
-    if (out != outstanding.end() && --out->second == 0) {
-      outstanding.erase(out);
+  auto drop = [&](std::map<Timestamp, int>& holds) {
+    auto hold = holds.find(pending.min_ts);
+    if (hold != holds.end() && --hold->second == 0) holds.erase(hold);
+  };
+  for (RangeId r : pending.ranges) drop(range_states_[r].outstanding);
+  drop(holds_);
+}
+
+void Changelog::AdvanceLocked(const std::vector<RangeId>& ranges,
+                              Timestamp now) {
+  // Computed first, queued last: every change at or below it is either
+  // released already or on `ranges`, whose releases queue below.
+  Timestamp idle = holds_.empty()
+                       ? now
+                       : std::min(now, holds_.begin()->first - 1);
+  idle = std::max(idle_watermark_, idle);
+  for (RangeId r : ranges) {
+    RangeState& state = range_states_[r];
+    Timestamp w = now;
+    if (!state.outstanding.empty()) {
+      w = state.outstanding.begin()->first - 1;
+    } else if (!state.buffer.empty()) {
+      // With no hold left every buffered change is complete, also one whose
+      // commit timestamp ran ahead of the clock.
+      w = std::max(now, state.buffer.rbegin()->first);
     }
+    state.watermark = std::max(state.watermark, w);
+    while (!state.buffer.empty() &&
+           state.buffer.begin()->first <= state.watermark) {
+      auto entry = state.buffer.begin();
+      notify_queue_.push_back({Notification::Kind::kRelease, r, entry->first,
+                               std::move(entry->second.database_id),
+                               std::move(entry->second.change)});
+      state.buffer.erase(entry);
+      released_counter_.Increment();
+    }
+    // Where the idle watermark covers the range, it speaks for it.
+    if (state.watermark > idle) {
+      notify_queue_.push_back(
+          {Notification::Kind::kWatermark, r, state.watermark, {}, {}});
+    }
+  }
+  if (idle > idle_watermark_) {
+    idle_watermark_ = idle;
+    notify_queue_.push_back(
+        {Notification::Kind::kWatermark, kEveryRange, idle, {}, {}});
   }
 }
 
@@ -187,41 +197,54 @@ void Changelog::MarkOutOfSyncLocked(RangeId range) {
 }
 
 void Changelog::DrainNotifications() {
-  {
-    MutexLock lock(&mu_);
-    // The active drainer re-checks the queue after every entry, so anything
-    // we just enqueued will be fired by it, in order.
-    if (notifying_) return;
+  mu_.Lock();
+  // This caller's entries are the queue's last; the entry being fired
+  // stays at its front until it is done.
+  const uint64_t mine = fired_ + notify_queue_.size();
+  // Each caller waits until its own entries have fired, firing them itself
+  // once no other thread is. A drainer stops after its own: it must not be
+  // left an ever-growing queue by a committer that never waits, which then
+  // no longer pays for its own fanout.
+  while (fired_ < mine) {
+    if (notifying_) {
+      drained_.Wait(&mu_);
+      continue;
+    }
     notifying_ = true;
-  }
-  for (;;) {
-    Notification n;
-    {
-      MutexLock lock(&mu_);
-      if (notify_queue_.empty()) {
-        notifying_ = false;
-        return;
-      }
-      n = std::move(notify_queue_.front());
+    while (fired_ < mine) {
+      Notification n = std::move(notify_queue_.front());
+      mu_.Unlock();
+      Fire(n);
+      mu_.Lock();
       notify_queue_.pop_front();
+      ++fired_;
     }
-    switch (n.kind) {
-      case Notification::Kind::kRelease: {
-        // Resume the originating commit's trace across the async hop: the
-        // context rode in on the buffered DocumentChange, possibly long
-        // after the committing thread returned.
-        TraceScope scope(n.change.trace);
-        FS_SPAN("rtcache.release");
-        matcher_->OnDocumentChange(n.database_id, n.range, n.ts, n.change);
-        break;
-      }
-      case Notification::Kind::kWatermark:
-        matcher_->OnWatermark(n.range, n.ts);
-        break;
-      case Notification::Kind::kOutOfSync:
-        matcher_->OnOutOfSync(n.range);
-        break;
+    notifying_ = false;
+    drained_.NotifyAll();
+  }
+  mu_.Unlock();
+  // Only now, holding no place in the notification order: the observer
+  // may run listener callbacks, and one that commits waits on that order.
+  matcher_->AnnounceWatermarks();
+}
+
+void Changelog::Fire(const Notification& n) {
+  switch (n.kind) {
+    case Notification::Kind::kRelease: {
+      // Resume the originating commit's trace across the hop: the context
+      // rode in on the buffered DocumentChange, and the release may fire
+      // on another thread than the commit's.
+      TraceScope scope(n.change.trace);
+      FS_SPAN("rtcache.release");
+      matcher_->OnDocumentChange(n.database_id, n.range, n.ts, n.change);
+      break;
     }
+    case Notification::Kind::kWatermark:
+      matcher_->OnWatermark(n.range, n.ts);
+      break;
+    case Notification::Kind::kOutOfSync:
+      matcher_->OnOutOfSync(n.range);
+      break;
   }
 }
 

@@ -148,10 +148,23 @@ void QueryMatcher::OnDocumentChange(const std::string& database_id,
 
 void QueryMatcher::OnWatermark(RangeId range, spanner::Timestamp ts) {
   MutexLock lock(&mu_);
-  if (static_cast<size_t>(range) >= watermarks_.size()) {
-    watermarks_.resize(range + 1, 0);
+  spanner::Timestamp* published = &idle_watermark_;
+  if (range != kEveryRange) {
+    if (static_cast<size_t>(range) >= watermarks_.size()) {
+      watermarks_.resize(range + 1, 0);
+    }
+    published = &watermarks_[range];
   }
-  watermarks_[range] = std::max(watermarks_[range], ts);
+  *published = std::max(*published, ts);
+}
+
+void QueryMatcher::AnnounceWatermarks() {
+  std::function<void()> observer;
+  {
+    MutexLock lock(&mu_);
+    observer = observer_;
+  }
+  if (observer) observer();
 }
 
 void QueryMatcher::OnOutOfSync(RangeId range) {
@@ -174,13 +187,14 @@ void QueryMatcher::OnOutOfSync(RangeId range) {
 
 spanner::Timestamp QueryMatcher::watermark(RangeId range) const {
   MutexLock lock(&mu_);
-  return static_cast<size_t>(range) < watermarks_.size() ? watermarks_[range]
-                                                         : 0;
+  return static_cast<size_t>(range) < watermarks_.size()
+             ? std::max(watermarks_[range], idle_watermark_)
+             : idle_watermark_;
 }
 
-std::vector<spanner::Timestamp> QueryMatcher::watermarks() const {
+void QueryMatcher::SetWatermarkObserver(std::function<void()> observer) {
   MutexLock lock(&mu_);
-  return watermarks_;
+  observer_ = std::move(observer);
 }
 
 int QueryMatcher::subscription_count() const {

@@ -1,9 +1,11 @@
 // Query Matcher tasks (paper §IV-D4, Figure 5): hold the real-time queries
 // registered for each document-name range; match every forwarded document
 // update against them and send matches to the subscribing Frontend. The
-// matcher also publishes one completeness watermark per range, which every
-// Frontend reads at Pump: a watermark is a fact about a range, not about a
-// subscription, so heartbeats cost the same with one listener or thousands.
+// matcher also publishes one completeness watermark per range, plus the
+// shared idle watermark that covers every range, and tells its observer
+// (the Frontend) after each Changelog drain: a watermark is a fact about a range, not
+// about a subscription, so heartbeats cost the same with one listener or
+// thousands.
 //
 // Matching costs per change, not per listener: each range indexes its
 // subscriptions by their collection and first equality term, so a change
@@ -44,6 +46,9 @@ struct RangeEvent {
 using EventSink = std::function<void(uint64_t subscription_id,
                                      const RangeEvent& event)>;
 
+// The range of the idle watermark, which covers every range.
+constexpr RangeId kEveryRange = -1;
+
 class QueryMatcher {
  public:
   QueryMatcher();
@@ -67,20 +72,27 @@ class QueryMatcher {
                         spanner::Timestamp ts,
                         const backend::DocumentChange& change);
 
-  // Completeness heartbeat: the range's update stream is complete through
-  // `ts`. Raises the range's published watermark (never lowers it) and
-  // calls no sink. Only the Changelog's single notification drainer calls
-  // this, after every release at or below `ts` has finished delivery.
+  // Completeness heartbeat: the range's update stream (every range's, for
+  // kEveryRange) is complete through `ts`. Raises the published watermark
+  // (never lowers it) and calls no sink. Only the Changelog's single
+  // notification drainer calls this, after every release at or below `ts`
+  // has finished delivery.
   void OnWatermark(RangeId range, spanner::Timestamp ts);
 
   void OnOutOfSync(RangeId range);
 
   // -- Published watermarks --
 
-  // The range's published watermark; 0 before its first heartbeat.
+  // The range's published watermark, or kEveryRange's where that is
+  // higher; 0 before the first heartbeat.
   spanner::Timestamp watermark(RangeId range) const;
-  // The whole table, indexed by RangeId (ranges past its end read as 0).
-  std::vector<spanner::Timestamp> watermarks() const;
+
+  // The Changelog calls this after each drain of its notifications, once
+  // it no longer orders them: runs the observer, outside the matcher's
+  // lock, since published watermarks may have risen.
+  void AnnounceWatermarks();
+  // The one observer of AnnounceWatermarks; null removes it.
+  void SetWatermarkObserver(std::function<void()> observer);
 
   int subscription_count() const;
 
@@ -119,6 +131,8 @@ class QueryMatcher {
       FS_GUARDED_BY(mu_);
   // range -> published watermark (see OnWatermark).
   std::vector<spanner::Timestamp> watermarks_ FS_GUARDED_BY(mu_);
+  spanner::Timestamp idle_watermark_ FS_GUARDED_BY(mu_) = 0;
+  std::function<void()> observer_ FS_GUARDED_BY(mu_);
   // Registry-backed stats (rtcache.matcher.*, docs/OBSERVABILITY.md).
   Counter& matched_counter_;
   Counter& examined_counter_;

@@ -115,8 +115,9 @@ class FirestoreService {
   // -- Real-time --
   frontend::Frontend& frontend() { return *frontend_; }
 
-  // Drives the asynchronous machinery one step: Changelog heartbeats,
-  // Frontend snapshot assembly, trigger dispatch, Spanner maintenance.
+  // Drives the asynchronous machinery one step: Changelog heartbeats and
+  // Prepare expiry, Frontend query re-runs, trigger dispatch, Spanner
+  // maintenance. Listeners hear commits without it, from the Accept.
   void Pump();
 
   // -- Introspection --

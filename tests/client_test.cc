@@ -175,6 +175,41 @@ TEST_F(ClientTest, ListenerSeesLocalWriteImmediately) {
   EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"fast"}));
 }
 
+// The server's snapshot of a flushed write reaches the listener inside that
+// write's commit. A callback there that writes grows the queue being
+// flushed, and one that pumps re-enters the flush; every write still
+// reaches the server exactly once.
+TEST_F(ClientTest, ListenerMayWriteAndPumpDuringAFlush) {
+  int64_t initial_ts = -1;
+  bool wrote = false;
+  auto callback = [&](const ViewSnapshot& v) {
+    if (initial_ts < 0) initial_ts = v.snapshot_ts;
+    // Only the server's snapshot of n0 moves snapshot_ts.
+    if (wrote || v.snapshot_ts == initial_ts) return;
+    wrote = true;
+    for (int i = 1; i <= 8; ++i) {
+      ASSERT_TRUE(client_
+                      ->Set(Path("/notes/n" + std::to_string(i)),
+                            {{"v", Value::Integer(i)}})
+                      .ok());
+    }
+    client_->Pump();
+  };
+  ASSERT_TRUE(
+      client_->OnSnapshot(Query(model::ResourcePath(), "notes"), callback)
+          .ok());
+  ASSERT_TRUE(client_->Set(Path("/notes/n0"), {{"v", Value::Integer(0)}}).ok());
+  client_->Pump();
+  EXPECT_TRUE(wrote);
+  EXPECT_FALSE(client_->local_store().HasPending());
+  EXPECT_EQ(client_->writes_flushed(), 9);
+  for (int i = 0; i <= 8; ++i) {
+    auto server = service_.Get(kDb, Path("/notes/n" + std::to_string(i)));
+    ASSERT_TRUE(server.ok());
+    EXPECT_TRUE(server->has_value()) << i;
+  }
+}
+
 TEST_F(ClientTest, ListenerSeesRemoteChanges) {
   ViewRecorder rec;
   Query q(model::ResourcePath(), "notes");

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,13 +165,40 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   constexpr char kChurnDb[] = "projects/churn/databases/d";
   FS_CHECK_OK(service.CreateDatabase(kDb));
 
+  // The delivery contract, checked in every callback: callbacks never
+  // overlap, each target's snapshots start with a reset and rise strictly
+  // in snapshot_ts, and none runs once StopListen has returned. TargetLog
+  // needs no lock of its own beyond `stopped`: only callbacks touch the
+  // rest, and they run one at a time.
+  struct TargetLog {
+    bool seen = false;
+    spanner::Timestamp last_ts = 0;
+    std::atomic<bool> stopped{false};
+  };
+  std::atomic<bool> in_callback{false};
+  std::atomic<int> overlapping{0};
+  std::atomic<int> first_not_reset{0};
+  std::atomic<int> ts_not_rising{0};
+  std::atomic<int> after_stop{0};
+  auto check_delivery = [&](TargetLog& log, const frontend::QuerySnapshot& s) {
+    if (in_callback.exchange(true)) overlapping.fetch_add(1);
+    if (log.stopped.load()) after_stop.fetch_add(1);
+    if (!log.seen && !s.is_reset) first_not_reset.fetch_add(1);
+    if (log.seen && s.snapshot_ts <= log.last_ts) ts_not_rising.fetch_add(1);
+    log.seen = true;
+    log.last_ts = s.snapshot_ts;
+    in_callback.store(false);
+  };
+
   // Changelog subscriber: a realtime listener over the hammered collection.
   std::atomic<int> snapshots{0};
   std::atomic<int> max_docs_seen{0};
+  TargetLog main_log;
   auto conn = service.frontend().OpenPrivilegedConnection(kDb);
   auto target = service.frontend().Listen(
       conn, Query(model::ResourcePath(), "c"),
       [&](const frontend::QuerySnapshot& s) {
+        check_delivery(main_log, s);
         snapshots.fetch_add(1);
         int n = static_cast<int>(s.documents.size());
         int prev = max_docs_seen.load();
@@ -218,6 +247,29 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
       clock.AdvanceBy(2'000);
       service.Pump();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  // Listener churn: targets start and stop while commits are delivered, so
+  // an initial snapshot races the incremental ones, and a StopListen the
+  // callbacks. The logs are kept, so a callback after its StopListen shows
+  // as a count rather than a crash.
+  std::vector<std::unique_ptr<TargetLog>> churn_logs;
+  threads.emplace_back([&] {
+    while (!done.load(std::memory_order_relaxed) && churn_logs.size() < 200) {
+      churn_logs.push_back(std::make_unique<TargetLog>());
+      TargetLog* log = churn_logs.back().get();
+      auto churn_conn = service.frontend().OpenPrivilegedConnection(kDb);
+      auto churn = service.frontend().Listen(
+          churn_conn, Query(model::ResourcePath(), "c"),
+          [&, log](const frontend::QuerySnapshot& s) {
+            check_delivery(*log, s);
+          });
+      ASSERT_TRUE(churn.ok()) << churn.status();
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      ASSERT_TRUE(service.frontend().StopListen(churn_conn, *churn).ok());
+      log->stopped.store(true);
+      service.frontend().CloseConnection(churn_conn);
     }
   });
 
@@ -270,6 +322,11 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   }
   EXPECT_EQ(max_docs_seen.load(), total_docs);
   EXPECT_GT(snapshots.load(), 0);
+  EXPECT_GT(churn_logs.size(), 0u);
+  EXPECT_EQ(overlapping.load(), 0);
+  EXPECT_EQ(first_not_reset.load(), 0);
+  EXPECT_EQ(ts_not_rising.load(), 0);
+  EXPECT_EQ(after_stop.load(), 0);
 
   // Every document is durably readable after the dust settles.
   for (int w = 0; w < kWriters; ++w) {
@@ -287,6 +344,73 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
   FS_CHECK_OK(service.frontend().StopListen(conn, *target));
   service.frontend().CloseConnection(conn);
   LockOrderChecker::SetEnabled(false);
+}
+
+// The pump and a closed-loop writer share the delivery of snapshots to slow
+// listeners. Whichever delivers stops after the snapshots queued when it
+// started, so the writer pays for its own fanout and the pump keeps
+// ticking however long the writer runs.
+TEST(ServiceStressTest, PumpKeepsTickingUnderAClosedLoopWriter) {
+  ManualClock clock(1'000'000'000);
+  service::FirestoreService service(&clock);
+  constexpr char kDb[] = "projects/p/databases/d";
+  FS_CHECK_OK(service.CreateDatabase(kDb));
+  // Each commit's fanout takes ~1 ms of callbacks, longer than the commit.
+  constexpr int kListeners = 10;
+  std::atomic<int> delivered{0};
+  auto conn = service.frontend().OpenPrivilegedConnection(kDb);
+  for (int i = 0; i < kListeners; ++i) {
+    ASSERT_TRUE(service.frontend()
+                    .Listen(conn, Query(model::ResourcePath(), "c"),
+                            [&](const frontend::QuerySnapshot&) {
+                              delivered.fetch_add(1);
+                              std::this_thread::sleep_for(
+                                  std::chrono::microseconds(100));
+                            })
+                    .ok());
+  }
+
+  // The writer also stops on its own, so a pump it stalls fails the test
+  // rather than hanging it.
+  std::atomic<bool> done{false};
+  std::atomic<int> commits{0};
+  const auto writer_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  std::thread writer([&] {
+    for (int i = 0; !done.load(std::memory_order_relaxed) &&
+                    std::chrono::steady_clock::now() < writer_deadline;
+         ++i) {
+      auto result = service.Commit(
+          kDb, {Mutation::Set(Path("/c/d" + std::to_string(i % 50)),
+                              {{"v", Value::Integer(i)}})});
+      ASSERT_TRUE(result.ok()) << result.status();
+      commits.fetch_add(1);
+    }
+  });
+  // Wait for the writer's fanout to be under way, then pump beside it.
+  while (commits.load() < 5) std::this_thread::yield();
+  int pumps = 0;
+  auto longest_pump = std::chrono::steady_clock::duration::zero();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < deadline) {
+    clock.AdvanceBy(2'000);
+    const auto start = std::chrono::steady_clock::now();
+    service.Pump();
+    longest_pump =
+        std::max(longest_pump, std::chrono::steady_clock::now() - start);
+    ++pumps;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const int writer_commits = commits.load();
+  done.store(true);
+  writer.join();
+  // Unbounded, a Pump that became the deliverer returned only once the
+  // writer stopped and its backlog was delivered: seconds.
+  EXPECT_LT(longest_pump, std::chrono::milliseconds(500));
+  EXPECT_GT(pumps, 20);
+  EXPECT_GT(writer_commits, 20);
+  EXPECT_GT(delivered.load(), 20 * kListeners);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "common/fault_injection.h"
 #include "service/service.h"
 #include "tests/test_support.h"
@@ -236,6 +240,129 @@ TEST_F(RealtimeTest, LimitQueryResetsOnChange) {
   EXPECT_TRUE(rec.last().is_reset);
 }
 
+// Delivery follows the Accept: the committing call itself delivers the
+// snapshot, with no Pump and no clock advance.
+TEST_F(RealtimeTest, CommitDeliversWithoutPump) {
+  Recorder rec;
+  auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
+  ASSERT_TRUE(service_.frontend()
+                  .Listen(conn, Query(model::ResourcePath(), "scores"),
+                          rec.Callback())
+                  .ok());
+  auto commit = service_.Commit(
+      kDb, {Mutation::Set(Path("/scores/a"), {{"points", Value::Integer(1)}})});
+  ASSERT_TRUE(commit.ok());
+  ASSERT_EQ(rec.snapshots.size(), 2u);
+  EXPECT_FALSE(rec.last().is_reset);
+  EXPECT_EQ(rec.last().snapshot_ts, commit->commit_ts);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"a"}));
+}
+
+// A limit query never takes a delta: every change re-runs it at Pump, and
+// each of its snapshots is a reset.
+TEST_F(RealtimeTest, LimitQueryGetsOnlyResetSnapshots) {
+  PutAndPump("/scores/a", {{"points", Value::Integer(1)}});
+  Recorder rec;
+  auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
+  Query q(model::ResourcePath(), "scores");
+  q.OrderByField(Field("points"), true).Limit(2);
+  ASSERT_TRUE(service_.frontend().Listen(conn, q, rec.Callback()).ok());
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/scores/b"),
+                                              {{"points", Value::Integer(2)}})})
+                  .ok());
+  EXPECT_EQ(rec.snapshots.size(), 1u);  // waits for Pump's re-run
+  Pump();
+  PutAndPump("/scores/c", {{"points", Value::Integer(3)}});
+  DeleteAndPump("/scores/b");
+  ASSERT_EQ(rec.snapshots.size(), 4u);
+  for (const QuerySnapshot& s : rec.snapshots) EXPECT_TRUE(s.is_reset);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"c", "a"}));
+}
+
+// Callbacks run outside every lock: one may commit or stop listening from
+// inside a delivery. Its commit's snapshot follows once it returns.
+TEST_F(RealtimeTest, CallbacksMayCommitAndStopListenReentrantly) {
+  auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
+  Frontend::TargetId stopper = 0;
+  int stopper_calls = 0;
+  auto stop = service_.frontend().Listen(
+      conn, Query(model::ResourcePath(), "scores"),
+      [&](const QuerySnapshot& s) {
+        ++stopper_calls;
+        if (!s.is_reset) {
+          EXPECT_TRUE(service_.frontend().StopListen(conn, stopper).ok());
+        }
+      });
+  ASSERT_TRUE(stop.ok());
+  stopper = *stop;
+  Recorder rec;
+  bool echoed = false;
+  ASSERT_TRUE(service_.frontend()
+                  .Listen(conn, Query(model::ResourcePath(), "scores"),
+                          [&](const QuerySnapshot& s) {
+                            rec.snapshots.push_back(s);
+                            if (s.is_reset || echoed) return;
+                            echoed = true;
+                            EXPECT_TRUE(
+                                service_
+                                    .Commit(kDb, {Mutation::Set(
+                                                     Path("/scores/echo"),
+                                                     {{"points",
+                                                       Value::Integer(2)}})})
+                                    .ok());
+                          })
+                  .ok());
+  ASSERT_TRUE(service_
+                  .Commit(kDb, {Mutation::Set(Path("/scores/a"),
+                                              {{"points", Value::Integer(1)}})})
+                  .ok());
+  ASSERT_EQ(rec.snapshots.size(), 3u);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"a", "echo"}));
+  EXPECT_GT(rec.last().snapshot_ts, rec.snapshots[1].snapshot_ts);
+  EXPECT_EQ(stopper_calls, 2);  // initial, then the one that stopped it
+  EXPECT_EQ(service_.frontend().active_targets(), 1);
+}
+
+// StopListen on one thread while another runs the target's callback: it
+// returns only once that callback has, so the caller may then free what the
+// callback uses.
+TEST_F(RealtimeTest, StopListenWaitsForARunningCallback) {
+  auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
+  std::atomic<int> stage{0};  // 1: a callback is running; 2: it may return
+  std::atomic<bool> callback_returned{false};
+  auto target = service_.frontend().Listen(
+      conn, Query(model::ResourcePath(), "scores"),
+      [&](const QuerySnapshot& s) {
+        if (s.is_reset) return;
+        stage.store(1);
+        while (stage.load() != 2) std::this_thread::yield();
+        callback_returned.store(true);
+      });
+  ASSERT_TRUE(target.ok());
+  std::thread writer([&] {
+    EXPECT_TRUE(service_
+                    .Commit(kDb, {Mutation::Set(Path("/scores/a"),
+                                                {{"points", Value::Integer(1)}})})
+                    .ok());
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  std::atomic<bool> stopped{false};
+  bool returned_first = false;
+  std::thread stopper([&] {
+    EXPECT_TRUE(service_.frontend().StopListen(conn, *target).ok());
+    returned_first = !callback_returned.load();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load());
+  stage.store(2);
+  stopper.join();
+  writer.join();
+  EXPECT_TRUE(stopped.load());
+  EXPECT_FALSE(returned_first);
+}
+
 TEST_F(RealtimeTest, OutOfSyncTriggersTransparentReset) {
   Recorder rec;
   auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
@@ -395,6 +522,33 @@ TEST(MultiRangeRealtimeTest, SnapshotWaitsForAllRangeWatermarks) {
   service.Pump();
   service.Pump();
   EXPECT_TRUE(rec.last().is_reset);
+  EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"alpha", "zeta"}));
+}
+
+// A commit on one of a listener's two ranges: the idle watermark speaks for
+// the other range, so the Accept alone delivers the snapshot.
+TEST(MultiRangeRealtimeTest, CommitOnOneRangeDeliversWithoutPump) {
+  ManualClock clock(1'000'000'000);
+  const std::string db = "projects/p/databases/d";
+  service::FirestoreService::Options options;
+  options.realtime_split_points = {index::EntityKeyPrefixForCollection(
+      db, Path("/scores").Child("m"))};
+  service::FirestoreService service(&clock, options);
+  FS_CHECK_OK(service.CreateDatabase(db));
+  Recorder rec;
+  auto conn = service.frontend().OpenPrivilegedConnection(db);
+  ASSERT_TRUE(service.frontend()
+                  .Listen(conn, Query(model::ResourcePath(), "scores"),
+                          rec.Callback())
+                  .ok());
+  for (const char* name : {"/scores/alpha", "/scores/zeta"}) {
+    ASSERT_TRUE(service
+                    .Commit(db, {Mutation::Set(Path(name),
+                                               {{"v", Value::Integer(1)}})})
+                    .ok());
+  }
+  ASSERT_EQ(rec.snapshots.size(), 3u);
+  EXPECT_EQ(rec.snapshots[1].changes.size(), 1u);
   EXPECT_EQ(rec.LastIds(), (std::vector<std::string>{"alpha", "zeta"}));
 }
 

@@ -17,6 +17,7 @@
 #include "rtcache/changelog.h"
 #include "rtcache/query_matcher.h"
 #include "rtcache/range_ownership.h"
+#include "service/service.h"
 #include "tests/test_support.h"
 
 namespace firestore::rtcache {
@@ -591,7 +592,10 @@ TEST(WatermarkTableTest, IdleTickMakesNoSinkCalls) {
 //  - between out-of-sync events a range delivers exactly the successful
 //    Accepts, with none lost, duplicated or invented;
 //  - every range an unknown, expired or dropped Accept touches gets an
-//    out-of-sync event in that step, and no other range does.
+//    out-of-sync event in that step, and no other range does;
+//  - a successful Accept whose ranges hold no Prepare at or below its
+//    commit timestamp is delivered, with a watermark covering it on each
+//    of its ranges, within its own step: release needs no Tick.
 // A later subscription sees exactly what the first one saw from its
 // Subscribe on, restricted to its ranges.
 TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
@@ -619,7 +623,7 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
     return Summary{static_cast<int>(event.type), event.range, event.ts, v};
   };
   int64_t total_changes = 0, total_out_of_sync = 0, total_dropped = 0,
-          total_expired = 0, total_late = 0;
+          total_expired = 0, total_late = 0, total_prompt = 0;
 
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -708,12 +712,10 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
         ++total_changes;
       }
       ASSERT_EQ(out_of_sync, owed);
-      std::vector<Timestamp> watermarks = matcher.watermarks();
-      watermarks.resize(kRanges, 0);
       for (RangeId r = 0; r < kRanges; ++r) {
-        ASSERT_GE(watermarks[r], last_watermarks[r]) << "range " << r;
+        ASSERT_GE(matcher.watermark(r), last_watermarks[r]) << "range " << r;
+        last_watermarks[r] = matcher.watermark(r);
       }
-      last_watermarks = watermarks;
       for (LaterSub& sub : later) {
         for (; sub.cursor < log.size(); ++sub.cursor) {
           const Summary& event = log[sub.cursor].event;
@@ -728,6 +730,8 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
 
     for (int step = 0; step < kSteps; ++step) {
       std::set<RangeId> owed;
+      // (range, ts, v) this step's Accept must have delivered and covered.
+      std::vector<std::tuple<RangeId, Timestamp, int64_t>> prompt;
       const int64_t roll = rng.Uniform(0, 99);
       if (roll < 30) {  // Prepare one or two documents
         Write w;
@@ -791,10 +795,20 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
               Timestamp ts = rng.Uniform(w.min_ts, hi);
               while (used_ts.count(ts)) ts = rng.Uniform(w.min_ts, hi);
               used_ts.insert(ts);
+              bool held = false;
+              for (const Write& other : pending) {
+                for (RangeId r : other.ranges) {
+                  held = held || (other.min_ts <= ts &&
+                                  std::count(w.ranges.begin(), w.ranges.end(),
+                                             r) > 0);
+                }
+              }
               std::vector<DocumentChange> changes;
               for (int d : w.docs) {
                 changes.push_back(MakeChange(doc_path(d), next_value));
-                expected[owner(d)].insert({ts, next_value++});
+                expected[owner(d)].insert({ts, next_value});
+                if (!held) prompt.emplace_back(owner(d), ts, next_value);
+                ++next_value;
               }
               changelog.Accept(w.token, WriteOutcome::kSuccess, ts, changes);
             }
@@ -820,6 +834,13 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
       }
       check(owed, step);
       if (::testing::Test::HasFatalFailure()) return;
+      for (const auto& [r, ts, v] : prompt) {
+        ASSERT_EQ(expected[r].count({ts, v}), 0u)
+            << "step " << step << ": range " << r << " kept (" << ts
+            << ", " << v << ") for a Tick";
+        ASSERT_GE(matcher.watermark(r), ts) << "step " << step;
+        ++total_prompt;
+      }
     }
 
     // Final drain: every Prepare expires or is released, then every range
@@ -844,6 +865,183 @@ TEST(ChangelogProtocolTest, SeededSchedulesKeepTheProtocol) {
   EXPECT_GT(total_dropped, 50);
   EXPECT_GT(total_expired, 50);
   EXPECT_GT(total_late, 40);
+  EXPECT_GT(total_prompt, 100);
+}
+
+// The Frontend half, through the whole service over four ranges: a seeded
+// scheduler commits (some with the Accept dropped at rtcache.accept.drop,
+// some with an unknown outcome), advances the clock and pumps, and starts
+// and stops listeners, several to a connection. After every step, every
+// snapshot delivered since is checked: a target's first snapshot is a
+// reset, incremental snapshots rise strictly in snapshot_ts, and the
+// snapshot at W, both its `documents` and its changes applied cumulatively,
+// equals RunQuery at read_ts = W. After a final drain every live target
+// equals a fresh RunQuery.
+TEST(ChangelogProtocolTest, SeededSchedulesDeliverSnapshotsEqualToReruns) {
+  constexpr char kDb[] = "projects/p/databases/d";
+  constexpr int kDocs = 16;
+  constexpr int kSteps = 300;
+  auto doc_path = [](int d) { return "/docs/d" + std::to_string(d); };
+  std::vector<std::string> keys;
+  for (int d = 0; d < kDocs; ++d) {
+    keys.push_back(index::EntityKey(kDb, Path(doc_path(d))));
+  }
+  std::sort(keys.begin(), keys.end());
+  service::FirestoreService::Options options;
+  for (int r = 1; r < 4; ++r) {
+    options.realtime_split_points.push_back(keys[r * kDocs / 4]);
+  }
+  auto make_query = [](int64_t kind, int64_t k) {
+    query::Query q(model::ResourcePath(), "docs");
+    if (kind == 1) {
+      q.Where(Field("v"), query::Operator::kEqual, Value::Integer(k));
+    }
+    if (kind == 2) q.OrderByField(Field("v"), true).Limit(3);
+    if (kind == 3) {
+      q.Where(Field("v"), query::Operator::kGreaterThanOrEqual,
+              Value::Integer(k));
+    }
+    return q;
+  };
+  int64_t total_resets = 0, total_deltas = 0;
+  const int64_t out_of_sync0 = CounterValue("rtcache.out_of_sync");
+
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ManualClock clock(1'000'000'000);
+    service::FirestoreService service(&clock, options);
+    ASSERT_TRUE(service.CreateDatabase(kDb).ok());
+    frontend::Frontend& frontend = service.frontend();
+
+    struct Watch {
+      frontend::Frontend::ConnectionId connection = 0;
+      frontend::Frontend::TargetId target = 0;
+      query::Query query;
+      std::vector<frontend::QuerySnapshot> got;
+      size_t checked = 0;
+      std::map<std::string, Document> replay;
+      bool live = true;
+    };
+    std::deque<Watch> watches;
+    const frontend::Frontend::ConnectionId shared =
+        frontend.OpenPrivilegedConnection(kDb);
+
+    auto check = [&](int step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      for (Watch& w : watches) {
+        for (; w.checked < w.got.size(); ++w.checked) {
+          const frontend::QuerySnapshot& s = w.got[w.checked];
+          ASSERT_TRUE(s.error.ok()) << s.error;
+          if (w.checked == 0) {
+            ASSERT_TRUE(s.is_reset) << "target " << w.target;
+          } else if (s.is_reset) {
+            ASSERT_GE(s.snapshot_ts, w.got[w.checked - 1].snapshot_ts);
+          } else {
+            ASSERT_GT(s.snapshot_ts, w.got[w.checked - 1].snapshot_ts);
+          }
+          if (s.is_reset) {
+            w.replay.clear();
+            ++total_resets;
+          } else {
+            ++total_deltas;
+          }
+          for (const frontend::SnapshotChange& c : s.changes) {
+            const std::string name = c.doc.name().CanonicalString();
+            if (c.kind == frontend::ChangeKind::kRemoved) {
+              ASSERT_EQ(w.replay.erase(name), 1u) << name;
+            } else {
+              w.replay[name] = c.doc;
+            }
+          }
+          auto rerun = service.RunQuery(kDb, w.query, s.snapshot_ts);
+          ASSERT_TRUE(rerun.ok()) << rerun.status();
+          const std::vector<Document>& want = rerun->result.documents;
+          ASSERT_EQ(s.documents, want) << "target " << w.target << " at "
+                                       << s.snapshot_ts;
+          ASSERT_EQ(w.replay.size(), want.size());
+          for (const Document& doc : want) {
+            auto it = w.replay.find(doc.name().CanonicalString());
+            ASSERT_TRUE(it != w.replay.end() && it->second == doc)
+                << doc.name().CanonicalString();
+          }
+        }
+      }
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+      const int64_t roll = rng.Uniform(0, 99);
+      if (roll < 58) {  // a commit of one or two documents
+        std::vector<backend::Mutation> mutations;
+        const int count = rng.Bernoulli(0.3) ? 2 : 1;
+        for (int i = 0; i < count; ++i) {
+          const std::string path =
+              doc_path(static_cast<int>(rng.Uniform(0, kDocs - 1)));
+          if (rng.Bernoulli(0.2)) {
+            mutations.push_back(backend::Mutation::Delete(Path(path)));
+          } else {
+            mutations.push_back(backend::Mutation::Set(
+                Path(path), {{"v", Value::Integer(rng.Uniform(0, 5))},
+                             {"step", Value::Integer(step)}}));
+          }
+        }
+        const char* fault = roll < 2    ? "rtcache.accept.drop"
+                            : roll < 4  ? "committer.outcome_unknown"
+                                        : nullptr;
+        if (fault != nullptr) {
+          ScopedFault scoped(fault, FaultConfig{.action = FaultAction::Drop()});
+          (void)service.Commit(kDb, mutations);
+        } else {
+          (void)service.Commit(kDb, mutations);
+        }
+      } else if (roll < 85) {  // time passes; heartbeats, expiry, resets
+        clock.AdvanceBy(rng.Uniform(0, 400'000));
+        service.Pump();
+      } else if (roll < 95) {  // a new listener
+        Watch& w = watches.emplace_back();
+        w.connection = rng.Bernoulli(0.5)
+                           ? shared
+                           : frontend.OpenPrivilegedConnection(kDb);
+        w.query = make_query(rng.Uniform(0, 3), rng.Uniform(0, 5));
+        auto target = frontend.Listen(
+            w.connection, w.query,
+            [&w](const frontend::QuerySnapshot& s) { w.got.push_back(s); });
+        ASSERT_TRUE(target.ok()) << target.status();
+        w.target = *target;
+      } else {  // a listener stops
+        for (Watch& w : watches) {
+          if (!w.live || !rng.Bernoulli(0.3)) continue;
+          ASSERT_TRUE(frontend.StopListen(w.connection, w.target).ok());
+          w.live = false;
+          break;
+        }
+      }
+      check(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    // Final drain: dropped Accepts expire, their resets run, and every live
+    // target then holds what a fresh query returns.
+    for (int i = 0; i < 4; ++i) {
+      clock.AdvanceBy(2'000'000);
+      service.Pump();
+    }
+    check(kSteps);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const Watch& w : watches) {
+      if (!w.live) continue;
+      ASSERT_FALSE(w.got.empty());
+      auto now = service.RunQuery(kDb, w.query);
+      ASSERT_TRUE(now.ok());
+      EXPECT_EQ(w.got.back().documents, now->result.documents)
+          << "target " << w.target;
+    }
+  }
+  // Not vacuous: listeners saw resets, out-of-sync ones among them, and
+  // deltas, many times.
+  EXPECT_GT(total_resets, 300);
+  EXPECT_GT(total_deltas, 500);
+  EXPECT_GT(CounterValue("rtcache.out_of_sync") - out_of_sync0, 20);
 }
 
 }  // namespace
