@@ -1,7 +1,6 @@
 #include "frontend/frontend.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/fault_injection.h"
@@ -65,11 +64,12 @@ void Frontend::CloseConnection(ConnectionId connection) {
     }
     connections_.erase(it);
     dirty_.erase(connection);
-    ForgetDeliveriesLocked([connection](const Delivery& d) {
+    std::erase_if(outbox_, [connection](const Delivery& d) {
       return d.connection == connection;
     });
   }
   for (uint64_t sub : to_unsubscribe) matcher_->Unsubscribe(sub);
+  AwaitRunningDelivery();
 }
 
 StatusOr<Frontend::TargetId> Frontend::Listen(ConnectionId connection,
@@ -105,35 +105,33 @@ StatusOr<Frontend::TargetId> Frontend::Listen(ConnectionId connection,
 
 Status Frontend::StopListen(ConnectionId connection, TargetId target_id) {
   uint64_t sub = 0;
+  bool found = false;
   {
     MutexLock lock(&mu_);
     auto it = targets_.find(target_id);
-    const bool found =
-        it != targets_.end() && it->second.connection == connection;
+    found = it != targets_.end() && it->second.connection == connection;
     if (found) sub = EraseTargetLocked(target_id);
-    // Also drops the terminal error of a target Pump already tore down.
-    ForgetDeliveriesLocked([&](const Delivery& d) {
+    // Also drops the terminal error of a target Pump already tore down,
+    // and below waits out that error's callback if it is running.
+    std::erase_if(outbox_, [&](const Delivery& d) {
       return d.target == target_id && d.connection == connection;
     });
-    if (!found) return NotFoundError("no such listen target");
   }
   matcher_->Unsubscribe(sub);
-  return Status::Ok();
+  AwaitRunningDelivery();
+  return found ? Status::Ok() : NotFoundError("no such listen target");
 }
 
-void Frontend::ForgetDeliveriesLocked(
-    const std::function<bool(const Delivery&)>& stopped) {
-  std::erase_if(outbox_, stopped);
-  while (calling_ != nullptr && deliverer_ != std::this_thread::get_id() &&
-         stopped(*calling_)) {
-    delivered_.Wait(&mu_);
-  }
+void Frontend::AwaitRunningDelivery() {
+  // On the deliverer's own thread the running callback is the caller.
+  if (LockOrderChecker::HeldByThisThread(&deliver_mu_)) return;
+  MutexLock turn(&deliver_mu_);
 }
 
 void Frontend::QueueLocked(TargetId id, const Target& target,
                            QuerySnapshot snapshot) {
-  outbox_.push_back({++queued_, id, target.connection, target.callback,
-                     std::move(snapshot)});
+  outbox_.push_back(
+      {id, target.connection, target.callback, std::move(snapshot)});
 }
 
 uint64_t Frontend::EraseTargetLocked(TargetId id) {
@@ -276,10 +274,10 @@ Timestamp Frontend::RangeWatermarkLocked(const Target& target) const {
   // A watermark W is published only after every release at or below W has
   // finished OnRangeEvent (under mu_), so the target's pending buffer is
   // complete through W. A target subscribed since (by a Listen, or a
-  // reset) may use W at once: anything drained before its Subscribe was
+  // reset) may use W at once: anything released before its Subscribe was
   // accepted after its Spanner commit, so it has ts <=
   // StrongReadTimestamp() = R, the target's snapshot read, and anything
-  // drained after it reached the target's buffer.
+  // released after it reached the target's buffer.
   Timestamp wm = spanner::kMaxTimestamp;
   for (rtcache::RangeId r : target.ranges) {
     wm = std::min(wm, matcher_->watermark(r));
@@ -412,49 +410,27 @@ void Frontend::Pump() {
 }
 
 void Frontend::DrainOutbox() {
-  const std::thread::id self = std::this_thread::get_id();
-  mu_.Lock();
-  const uint64_t mine = queued_;
-  if (deliverer_ == self) {
-    // Called from a callback (a Listen, a commit): the loop further up this
-    // thread's stack delivers these too before it stops.
-    deliver_to_ = std::max(deliver_to_, mine);
-    mu_.Unlock();
-    return;
-  }
-  // As in the Changelog, each caller waits until its own snapshots are
-  // delivered, delivering them itself once no other thread is, and a
-  // deliverer stops after its own: a pump never delivers a committer's
-  // fanout, nor a committer another's, without end.
-  while (!outbox_.empty() && outbox_.front().seq <= mine) {
-    if (deliverer_ != std::thread::id()) {
-      delivered_.Wait(&mu_);
-      continue;
-    }
-    deliverer_ = self;
-    deliver_to_ = mine;
-    while (!outbox_.empty() && outbox_.front().seq <= deliver_to_) {
-      Delivery delivery = std::move(outbox_.front());
+  // Called from a callback (a Listen, a commit): the loop further up this
+  // thread's stack delivers what it queued.
+  if (LockOrderChecker::HeldByThisThread(&deliver_mu_)) return;
+  // Every caller queued its snapshots before waiting for the turn, so a
+  // turn delivers at most one batch per waiting thread.
+  MutexLock turn(&deliver_mu_);
+  for (;;) {
+    Delivery delivery;
+    {
+      MutexLock lock(&mu_);
+      if (outbox_.empty()) return;
+      delivery = std::move(outbox_.front());
       outbox_.pop_front();
-      calling_ = &delivery;
-      mu_.Unlock();
-      snapshots_counter_.Increment();
-      {
-        // Resume the originating commit's trace for the notification leg:
-        // this is the write-to-listener latency the paper's Figure 9
-        // measures.
-        TraceScope scope(delivery.snapshot.trace);
-        FS_SPAN("frontend.deliver");
-        delivery.callback(delivery.snapshot);
-      }
-      mu_.Lock();
-      calling_ = nullptr;
-      delivered_.NotifyAll();  // a StopListen may wait for this callback
     }
-    deliverer_ = std::thread::id();
-    delivered_.NotifyAll();
+    snapshots_counter_.Increment();
+    // Resume the originating commit's trace for the notification leg: this
+    // is the write-to-listener latency the paper's Figure 9 measures.
+    TraceScope scope(delivery.snapshot.trace);
+    FS_SPAN("frontend.deliver");
+    delivery.callback(delivery.snapshot);
   }
-  mu_.Unlock();
 }
 
 int Frontend::active_targets() const {

@@ -16,8 +16,9 @@
 //
 // Delivery follows the commit: each published watermark advances the
 // connections a relevant change made dirty. Every snapshot goes through one
-// FIFO outbox with a single active deliverer, so callbacks never overlap,
-// may run on the committing thread, and reach each target in order.
+// FIFO outbox, delivered by whichever thread holds the delivery turn, so
+// callbacks never overlap, may run on the committing thread, and reach each
+// target in order.
 
 #ifndef FIRESTORE_FRONTEND_FRONTEND_H_
 #define FIRESTORE_FRONTEND_FRONTEND_H_
@@ -29,7 +30,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "backend/read_service.h"
@@ -123,8 +123,8 @@ class Frontend {
   StatusOr<TargetId> Listen(ConnectionId connection, query::Query q,
                             SnapshotCallback callback);
   // After StopListen returns, no callback of the target runs, except one
-  // that called it; one running on another thread is waited for. The same
-  // holds for CloseConnection and every target of the connection.
+  // that called it: a callback running on another thread is waited for.
+  // The same holds for CloseConnection and every target of the connection.
   Status StopListen(ConnectionId connection, TargetId target);
 
   // Re-runs the targets that need it: out-of-sync ones and limit/offset
@@ -168,7 +168,6 @@ class Frontend {
 
   // A snapshot waiting in the outbox for its target's callback.
   struct Delivery {
-    uint64_t seq = 0;  // position in the outbox, from 1
     TargetId target = 0;
     ConnectionId connection = 0;
     SnapshotCallback callback;
@@ -203,13 +202,14 @@ class Frontend {
 
   void QueueLocked(TargetId id, const Target& target, QuerySnapshot snapshot)
       FS_REQUIRES(mu_);
-  // Drops the queued snapshots `stopped` matches, and waits out a callback
-  // it matches that another thread is running.
-  void ForgetDeliveriesLocked(
-      const std::function<bool(const Delivery&)>& stopped) FS_REQUIRES(mu_);
-  // Fires the outbox FIFO, outside mu_, through the snapshots queued so
-  // far (docs/realtime_protocol.md, "Delivery contract").
+  // Takes the delivery turn and fires the outbox FIFO, outside mu_, until
+  // it is empty; returns at once inside a callback, whose deliverer further
+  // up the stack fires what it queued (docs/realtime_protocol.md, "Delivery
+  // contract").
   void DrainOutbox() FS_EXCLUDES(mu_);
+  // Waits out a callback another thread is running; StopListen and
+  // CloseConnection call it after dropping their queued snapshots.
+  void AwaitRunningDelivery() FS_EXCLUDES(mu_);
 
   const Clock* const clock_;
   backend::ReadService* const reader_;
@@ -218,12 +218,15 @@ class Frontend {
   const TenantResolver tenants_;
   const Options options_;
 
+  // The delivery turn: held by the one thread firing the outbox, across
+  // each callback.
+  Mutex deliver_mu_;
   // Held across snapshot construction and target resets, which fan out into
   // the cache, index, storage, and billing layers; every mutex reachable
   // from under it is declared here (string targets: the members are private
   // to their classes). spanner::TimestampOracle::mu_ is covered transitively
   // via Database::data_mu_'s own declaration.
-  mutable Mutex mu_ FS_ACQUIRED_BEFORE(
+  mutable Mutex mu_ FS_ACQUIRED_AFTER(deliver_mu_) FS_ACQUIRED_BEFORE(
       "backend::BillingLedger::mu_", "spanner::Database::data_mu_",
       "firestore::index::IndexCatalog::mu_", "spanner::LockManager::mu_",
       "rtcache::QueryMatcher::mu_");
@@ -237,13 +240,6 @@ class Frontend {
   // Targets Pump must re-run. Each pins its connection meanwhile.
   std::set<TargetId> resets_ FS_GUARDED_BY(mu_);
   std::deque<Delivery> outbox_ FS_GUARDED_BY(mu_);
-  uint64_t queued_ FS_GUARDED_BY(mu_) = 0;  // the last Delivery::seq
-  // The one thread delivering (none: the default id), the last snapshot it
-  // delivers, and the delivery whose callback it runs (null between them).
-  std::thread::id deliverer_ FS_GUARDED_BY(mu_);
-  uint64_t deliver_to_ FS_GUARDED_BY(mu_) = 0;
-  const Delivery* calling_ FS_GUARDED_BY(mu_) = nullptr;
-  CondVar delivered_;  // a callback returned, or a deliverer stopped
   // Registry-backed stats (frontend.*, docs/OBSERVABILITY.md).
   Counter& snapshots_counter_;
   Counter& resets_counter_;

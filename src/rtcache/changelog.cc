@@ -108,7 +108,9 @@ void Changelog::Accept(uint64_t token, WriteOutcome outcome,
     }
     AdvanceLocked(pending.ranges, std::max(clock_->NowMicros(), commit_ts));
   }
-  DrainNotifications();
+  // Only now, holding no lock: the observer may run listener callbacks,
+  // and one that commits takes mu_.
+  matcher_->AnnounceWatermarks();
 }
 
 void Changelog::Tick() {
@@ -131,7 +133,7 @@ void Changelog::Tick() {
     }
     AdvanceLocked(expired, now);
   }
-  DrainNotifications();
+  matcher_->AnnounceWatermarks();
 }
 
 void Changelog::ReleaseHoldLocked(const PendingPrepare& pending) {
@@ -145,8 +147,8 @@ void Changelog::ReleaseHoldLocked(const PendingPrepare& pending) {
 
 void Changelog::AdvanceLocked(const std::vector<RangeId>& ranges,
                               Timestamp now) {
-  // Computed first, queued last: every change at or below it is either
-  // released already or on `ranges`, whose releases queue below.
+  // Computed first, published last: every change at or below it is either
+  // released already or on `ranges`, whose releases run below.
   Timestamp idle = holds_.empty()
                        ? now
                        : std::min(now, holds_.begin()->first - 1);
@@ -165,22 +167,24 @@ void Changelog::AdvanceLocked(const std::vector<RangeId>& ranges,
     while (!state.buffer.empty() &&
            state.buffer.begin()->first <= state.watermark) {
       auto entry = state.buffer.begin();
-      notify_queue_.push_back({Notification::Kind::kRelease, r, entry->first,
-                               std::move(entry->second.database_id),
-                               std::move(entry->second.change)});
+      {
+        // Resume the originating commit's trace: the context rode in on the
+        // buffered DocumentChange, and another thread's Accept or Tick may
+        // release it.
+        TraceScope scope(entry->second.change.trace);
+        FS_SPAN("rtcache.release");
+        matcher_->OnDocumentChange(entry->second.database_id, r, entry->first,
+                                   entry->second.change);
+      }
       state.buffer.erase(entry);
       released_counter_.Increment();
     }
     // Where the idle watermark covers the range, it speaks for it.
-    if (state.watermark > idle) {
-      notify_queue_.push_back(
-          {Notification::Kind::kWatermark, r, state.watermark, {}, {}});
-    }
+    if (state.watermark > idle) matcher_->OnWatermark(r, state.watermark);
   }
   if (idle > idle_watermark_) {
     idle_watermark_ = idle;
-    notify_queue_.push_back(
-        {Notification::Kind::kWatermark, kEveryRange, idle, {}, {}});
+    matcher_->OnWatermark(kEveryRange, idle);
   }
 }
 
@@ -192,60 +196,7 @@ void Changelog::MarkOutOfSyncLocked(RangeId range) {
   // release must not arrive behind a published watermark (a Frontend
   // would drop it as already covered by its snapshot).
   out_of_sync_counter_.Increment();
-  notify_queue_.push_back(
-      {Notification::Kind::kOutOfSync, range, state.watermark, {}, {}});
-}
-
-void Changelog::DrainNotifications() {
-  mu_.Lock();
-  // This caller's entries are the queue's last; the entry being fired
-  // stays at its front until it is done.
-  const uint64_t mine = fired_ + notify_queue_.size();
-  // Each caller waits until its own entries have fired, firing them itself
-  // once no other thread is. A drainer stops after its own: it must not be
-  // left an ever-growing queue by a committer that never waits, which then
-  // no longer pays for its own fanout.
-  while (fired_ < mine) {
-    if (notifying_) {
-      drained_.Wait(&mu_);
-      continue;
-    }
-    notifying_ = true;
-    while (fired_ < mine) {
-      Notification n = std::move(notify_queue_.front());
-      mu_.Unlock();
-      Fire(n);
-      mu_.Lock();
-      notify_queue_.pop_front();
-      ++fired_;
-    }
-    notifying_ = false;
-    drained_.NotifyAll();
-  }
-  mu_.Unlock();
-  // Only now, holding no place in the notification order: the observer
-  // may run listener callbacks, and one that commits waits on that order.
-  matcher_->AnnounceWatermarks();
-}
-
-void Changelog::Fire(const Notification& n) {
-  switch (n.kind) {
-    case Notification::Kind::kRelease: {
-      // Resume the originating commit's trace across the hop: the context
-      // rode in on the buffered DocumentChange, and the release may fire
-      // on another thread than the commit's.
-      TraceScope scope(n.change.trace);
-      FS_SPAN("rtcache.release");
-      matcher_->OnDocumentChange(n.database_id, n.range, n.ts, n.change);
-      break;
-    }
-    case Notification::Kind::kWatermark:
-      matcher_->OnWatermark(n.range, n.ts);
-      break;
-    case Notification::Kind::kOutOfSync:
-      matcher_->OnOutOfSync(n.range);
-      break;
-  }
+  matcher_->OnOutOfSync(range);
 }
 
 }  // namespace firestore::rtcache

@@ -18,7 +18,6 @@
 #define FIRESTORE_RTCACHE_CHANGELOG_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,9 +42,9 @@ class Changelog : public backend::RealTimeParticipant {
       const std::vector<model::ResourcePath>& names,
       spanner::Timestamp max_commit_ts) override;
 
-  // Releases the changes at once unless an older Prepare on their range is
-  // outstanding, and returns once they have reached the Query Matcher and
-  // its watermark observer has run.
+  // Releases the changes to the Query Matcher at once unless an older
+  // Prepare on their range is outstanding, and returns once its watermark
+  // observer has run.
   void Accept(uint64_t token, backend::WriteOutcome outcome,
               spanner::Timestamp commit_ts,
               const std::vector<backend::DocumentChange>& changes) override;
@@ -78,42 +77,28 @@ class Changelog : public backend::RealTimeParticipant {
     spanner::Timestamp last_assigned_min = 0;
   };
 
-  // A state mutation and the notification it implies are enqueued in the
-  // same critical section, so queue order equals logical order. A single
-  // active drainer fires entries FIFO outside the lock; this guarantees a
-  // watermark never reaches the Query Matcher before the releases and
-  // out-of-sync marks it covers — concurrent Accept/Tick callers firing
-  // independently could otherwise let a Frontend claim a snapshot
-  // timestamp whose mutations are still in flight on another thread.
-  // Accept and Tick return once their own entries have fired, so no
-  // notification may call back into the Changelog.
-  struct Notification {
-    enum class Kind { kRelease, kWatermark, kOutOfSync };
-    Kind kind = Kind::kWatermark;
-    RangeId range = 0;
-    spanner::Timestamp ts = 0;
-    std::string database_id;            // kRelease only
-    backend::DocumentChange change;     // kRelease only
-  };
-
   // Drops a resolved (accepted or expired) Prepare's hold on the
   // watermarks of its ranges.
   void ReleaseHoldLocked(const PendingPrepare& pending) FS_REQUIRES(mu_);
   // Accept's and Tick's advance, after `ranges` lost a hold: raises their
-  // watermarks and the idle one, releases what they newly cover and queues
-  // each watermark behind its releases (docs/realtime_protocol.md). `now`
-  // is the clock, or the commit timestamp if that is later.
+  // watermarks and the idle one, releases to the Query Matcher what they
+  // newly cover and then publishes each watermark (docs/realtime_protocol.md).
+  // `now` is the clock, or the commit timestamp if that is later.
   void AdvanceLocked(const std::vector<RangeId>& ranges,
                      spanner::Timestamp now) FS_REQUIRES(mu_);
   void MarkOutOfSyncLocked(RangeId range) FS_REQUIRES(mu_);
-  void DrainNotifications() FS_EXCLUDES(mu_);
-  void Fire(const Notification& n) FS_EXCLUDES(mu_);
 
   const Clock* const clock_;
   const RangeOwnership* const ranges_;
   QueryMatcher* matcher_;
 
-  mutable Mutex mu_;
+  // Held while the Query Matcher is told of releases, watermarks and
+  // out-of-sync marks, so the lock order is the notification order: a
+  // watermark never reaches the matcher before the releases it covers, even
+  // from concurrent Accept/Tick callers. The matcher's sinks take only the
+  // Frontend's mu_, and nothing takes this lock under either.
+  mutable Mutex mu_ FS_ACQUIRED_BEFORE("rtcache::QueryMatcher::mu_",
+                                       "frontend::Frontend::mu_");
   uint64_t next_token_ FS_GUARDED_BY(mu_) = 1;
   std::map<uint64_t, PendingPrepare> pending_ FS_GUARDED_BY(mu_);
   std::map<RangeId, RangeState> range_states_ FS_GUARDED_BY(mu_);
@@ -121,10 +106,6 @@ class Changelog : public backend::RealTimeParticipant {
   std::map<spanner::Timestamp, int> holds_ FS_GUARDED_BY(mu_);
   // Every range is complete through it: at most now, and below every hold.
   spanner::Timestamp idle_watermark_ FS_GUARDED_BY(mu_) = 0;
-  std::deque<Notification> notify_queue_ FS_GUARDED_BY(mu_);
-  uint64_t fired_ FS_GUARDED_BY(mu_) = 0;  // entries ever fired
-  bool notifying_ FS_GUARDED_BY(mu_) = false;
-  CondVar drained_;  // a drainer stopped
   // Registry-backed stats (rtcache.*, docs/OBSERVABILITY.md).
   Counter& prepares_counter_;
   Counter& accepts_counter_;

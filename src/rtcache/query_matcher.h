@@ -3,9 +3,9 @@
 // update against them and send matches to the subscribing Frontend. The
 // matcher also publishes one completeness watermark per range, plus the
 // shared idle watermark that covers every range, and tells its observer
-// (the Frontend) after each Changelog drain: a watermark is a fact about a range, not
-// about a subscription, so heartbeats cost the same with one listener or
-// thousands.
+// (the Frontend) after each Changelog Accept or Tick: a watermark is a fact
+// about a range, not about a subscription, so heartbeats cost the same with
+// one listener or thousands.
 //
 // Matching costs per change, not per listener: each range indexes its
 // subscriptions by their collection and first equality term, so a change
@@ -74,9 +74,8 @@ class QueryMatcher {
 
   // Completeness heartbeat: the range's update stream (every range's, for
   // kEveryRange) is complete through `ts`. Raises the published watermark
-  // (never lowers it) and calls no sink. Only the Changelog's single
-  // notification drainer calls this, after every release at or below `ts`
-  // has finished delivery.
+  // (never lowers it) and calls no sink. The Changelog calls this under its
+  // lock, after every release at or below `ts` has reached its sinks.
   void OnWatermark(RangeId range, spanner::Timestamp ts);
 
   void OnOutOfSync(RangeId range);
@@ -87,9 +86,9 @@ class QueryMatcher {
   // higher; 0 before the first heartbeat.
   spanner::Timestamp watermark(RangeId range) const;
 
-  // The Changelog calls this after each drain of its notifications, once
-  // it no longer orders them: runs the observer, outside the matcher's
-  // lock, since published watermarks may have risen.
+  // The Changelog calls this after each Accept and Tick, holding no lock:
+  // runs the observer, outside the matcher's lock, since published
+  // watermarks may have risen.
   void AnnounceWatermarks();
   // The one observer of AnnounceWatermarks; null removes it.
   void SetWatermarkObserver(std::function<void()> observer);

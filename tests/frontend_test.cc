@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/fault_injection.h"
+#include "common/thread_annotations.h"
 #include "service/service.h"
 #include "tests/test_support.h"
 
@@ -53,6 +54,20 @@ class RealtimeTest : public ::testing::Test {
 
   ManualClock clock_;
   service::FirestoreService service_;
+};
+
+// Arms the lock-order checker for one test, and restores it after: a
+// callback that commits or listens then runs the delivery turn, the
+// Changelog, the Frontend and the Query Matcher locks under the checker.
+class ScopedLockOrderChecking {
+ public:
+  ScopedLockOrderChecking() : was_enabled_(LockOrderChecker::enabled()) {
+    LockOrderChecker::SetEnabled(true);
+  }
+  ~ScopedLockOrderChecking() { LockOrderChecker::SetEnabled(was_enabled_); }
+
+ private:
+  const bool was_enabled_;
 };
 
 struct Recorder {
@@ -283,6 +298,7 @@ TEST_F(RealtimeTest, LimitQueryGetsOnlyResetSnapshots) {
 // Callbacks run outside every lock: one may commit or stop listening from
 // inside a delivery. Its commit's snapshot follows once it returns.
 TEST_F(RealtimeTest, CallbacksMayCommitAndStopListenReentrantly) {
+  ScopedLockOrderChecking checking;
   auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
   Frontend::TargetId stopper = 0;
   int stopper_calls = 0;
@@ -328,6 +344,7 @@ TEST_F(RealtimeTest, CallbacksMayCommitAndStopListenReentrantly) {
 // returns only once that callback has, so the caller may then free what the
 // callback uses.
 TEST_F(RealtimeTest, StopListenWaitsForARunningCallback) {
+  ScopedLockOrderChecking checking;
   auto conn = service_.frontend().OpenPrivilegedConnection(kDb);
   std::atomic<int> stage{0};  // 1: a callback is running; 2: it may return
   std::atomic<bool> callback_returned{false};
@@ -361,6 +378,91 @@ TEST_F(RealtimeTest, StopListenWaitsForARunningCallback) {
   writer.join();
   EXPECT_TRUE(stopped.load());
   EXPECT_FALSE(returned_first);
+}
+
+// A target whose out-of-sync re-run keeps failing ends with exactly one
+// snapshot carrying `error`, which Pump delivers as it tears the target
+// down. A StopListen on another thread while that callback runs finds no
+// target, and still returns only once the callback has.
+TEST_F(RealtimeTest, ResetBudgetEndsInOneErrorSnapshotAndStopListenWaitsForIt) {
+  // Its own service: the retry budget is a service option.
+  ManualClock clock(1'000'000'000);
+  service::FirestoreService::Options options;
+  options.frontend_options.reset_retry.max_attempts = 2;
+  options.frontend_options.reset_retry.initial_backoff = 5'000;
+  options.frontend_options.reset_retry.max_backoff = 10'000;
+  service::FirestoreService service(&clock, options);
+  FS_CHECK_OK(service.CreateDatabase(kDb));
+  auto conn = service.frontend().OpenPrivilegedConnection(kDb);
+  std::atomic<int> stage{0};  // 1: the error callback runs; 2: it may return
+  std::atomic<bool> callback_returned{false};
+  Recorder rec;
+  auto target = service.frontend().Listen(
+      conn, Query(model::ResourcePath(), "scores"),
+      [&](const QuerySnapshot& s) {
+        rec.snapshots.push_back(s);
+        if (s.error.ok()) return;
+        stage.store(1);
+        while (stage.load() != 2) std::this_thread::yield();
+        callback_returned.store(true);
+      });
+  ASSERT_TRUE(target.ok());
+  ASSERT_EQ(rec.snapshots.size(), 1u);
+  ASSERT_EQ(service.frontend().active_targets(), 1);
+  {
+    FaultConfig config;
+    config.action = FaultAction::Drop();
+    ScopedFault unknown("committer.outcome_unknown", config);
+    ASSERT_EQ(service
+                  .Commit(kDb, {Mutation::Set(Path("/scores/a"),
+                                              {{"points", Value::Integer(1)}})})
+                  .status()
+                  .code(),
+              StatusCode::kDeadlineExceeded);
+  }
+  ScopedFault failing("frontend.initial_snapshot");
+  std::atomic<bool> pumped{false};
+  std::thread pumper([&] {
+    for (int i = 0; i < 50 && stage.load() == 0; ++i) {
+      clock.AdvanceBy(100'000);
+      service.Pump();
+    }
+    pumped.store(true);
+  });
+  while (stage.load() != 1 && !pumped.load()) std::this_thread::yield();
+  if (stage.load() != 1) {
+    pumper.join();
+    FAIL() << "Pump never delivered an error snapshot";
+  }
+  std::atomic<bool> stopped{false};
+  bool returned_first = false;
+  std::thread stopper([&] {
+    EXPECT_EQ(service.frontend().StopListen(conn, *target).code(),
+              StatusCode::kNotFound);
+    returned_first = !callback_returned.load();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load());
+  stage.store(2);
+  stopper.join();
+  pumper.join();
+  EXPECT_FALSE(returned_first);
+  EXPECT_EQ(service.frontend().active_targets(), 0);
+  ASSERT_EQ(rec.snapshots.size(), 2u);
+  EXPECT_FALSE(rec.last().error.ok());
+  // Nothing follows the error: not a retry, not a later commit.
+  for (int i = 0; i < 10; ++i) {
+    clock.AdvanceBy(100'000);
+    service.Pump();
+  }
+  ASSERT_TRUE(service
+                  .Commit(kDb, {Mutation::Set(Path("/scores/b"),
+                                              {{"points", Value::Integer(2)}})})
+                  .ok());
+  clock.AdvanceBy(100'000);
+  service.Pump();
+  EXPECT_EQ(rec.snapshots.size(), 2u);
 }
 
 TEST_F(RealtimeTest, OutOfSyncTriggersTransparentReset) {

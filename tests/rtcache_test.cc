@@ -502,8 +502,9 @@ TEST(QueryMatcherPropertyTest, IndexedMatchingEqualsBruteForce) {
 // Writers Prepare and Accept while another thread Ticks. A watermark is
 // published only after the releases it covers have been delivered, so at
 // every delivery the range's published watermark is still below the
-// change's timestamp. Publishing from Tick, or from any thread but the
-// FIFO drainer, lets a watermark outrun a release and fails this test.
+// change's timestamp. Publishing a watermark anywhere but after its
+// releases in the Changelog's critical section (after dropping the lock,
+// say) lets it outrun a release and fails this test.
 TEST(WatermarkTableTest, WatermarkNeverOutrunsARelease) {
   RealClock clock;
   RangeOwnership ranges = RangeOwnership::Uniform(2);
@@ -523,7 +524,7 @@ TEST(WatermarkTableTest, WatermarkNeverOutrunsARelease) {
   constexpr int kWritesPerWriter = 300;
   std::atomic<bool> stop{false};
   // The ticker pauses between heartbeats like a real pump: spinning, it
-  // could enqueue watermarks faster than the drainer fires them.
+  // would take the Changelog lock back to back and crowd out the writers.
   std::thread ticker([&] {
     while (!stop.load()) {
       changelog.Tick();
