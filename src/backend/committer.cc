@@ -214,12 +214,8 @@ StatusOr<CommitResponse> Committer::CommitInternal(
           txn.Read(index::kEntitiesTable,
                    index::EntityKey(database_id, m.name),
                    spanner::LockMode::kExclusive, &version));
-      std::optional<Document> doc;
-      if (row.has_value()) {
-        ASSIGN_OR_RETURN(Document parsed, codec::ParseDocument(*row));
-        codec::ResolveDocumentTimestamps(parsed, version);
-        doc = std::move(parsed);
-      }
+      ASSIGN_OR_RETURN(std::optional<Document> doc,
+                       codec::DecodeEntityRow(row, version));
       state[key] = doc;
       original[key] = std::move(doc);
       paths.emplace(key, m.name);
@@ -236,10 +232,7 @@ StatusOr<CommitResponse> Committer::CommitInternal(
                      txn.Read(index::kEntitiesTable,
                               index::EntityKey(database_id, path),
                               spanner::LockMode::kShared, &version));
-    if (!row.has_value()) return std::optional<Document>();
-    ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(*row));
-    codec::ResolveDocumentTimestamps(doc, version);
-    return std::optional<Document>(std::move(doc));
+    return codec::DecodeEntityRow(row, version);
   };
 
   // Steps 2b-3: preconditions, security rules, new document states.

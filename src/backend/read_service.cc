@@ -22,10 +22,7 @@ StatusOr<std::optional<Document>> ReadService::ReadDocumentAt(
                        index::kEntitiesTable,
                        index::EntityKey(database_id, name), read_ts,
                        &version));
-  if (!row.has_value()) return std::optional<Document>();
-  ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(*row));
-  codec::ResolveDocumentTimestamps(doc, version);
-  return std::optional<Document>(std::move(doc));
+  return codec::DecodeEntityRow(row, version);
 }
 
 Status ReadService::AuthorizeList(const std::string& database_id,

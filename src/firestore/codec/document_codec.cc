@@ -233,9 +233,13 @@ std::string SerializeDocument(const Document& doc) {
   return dst;
 }
 
-void ResolveDocumentTimestamps(Document& doc, int64_t row_version) {
+StatusOr<std::optional<Document>> DecodeEntityRow(
+    std::optional<std::string_view> row, int64_t row_version) {
+  if (!row.has_value()) return std::optional<Document>();
+  ASSIGN_OR_RETURN(Document doc, ParseDocument(*row));
   doc.set_update_time(row_version);
   if (doc.create_time() == 0) doc.set_create_time(row_version);
+  return std::optional<Document>(std::move(doc));
 }
 
 StatusOr<Document> ParseDocument(std::string_view data) {

@@ -8,6 +8,7 @@
 #ifndef FIRESTORE_CODEC_DOCUMENT_CODEC_H_
 #define FIRESTORE_CODEC_DOCUMENT_CODEC_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -19,12 +20,12 @@ namespace firestore::codec {
 std::string SerializeDocument(const model::Document& doc);
 StatusOr<model::Document> ParseDocument(std::string_view data);
 
-// Document timestamps derive from the MVCC row version (the Spanner
-// commit-timestamp column equivalent): update_time is always the version
-// that was read; a stored create_time of 0 means "this version is the
-// insert". The write path persists a concrete create_time on every
-// subsequent update, so the convention stays resolvable.
-void ResolveDocumentTimestamps(model::Document& doc, int64_t row_version);
+// Decodes an Entities row read at `row_version`; nullopt for an absent row.
+// update_time is the version read (the Spanner commit-timestamp column); a
+// stored create_time of 0 means "this version is the insert", and the write
+// path persists a concrete one on every later update.
+StatusOr<std::optional<model::Document>> DecodeEntityRow(
+    std::optional<std::string_view> row, int64_t row_version);
 
 // Varint helpers are exposed for reuse by other row-value formats.
 void AppendVarint(std::string& dst, uint64_t value);

@@ -25,9 +25,9 @@ StatusOr<std::vector<Document>> ReferenceEvaluate(
                      reader.Scan(index::kEntitiesTable, start, limit, 256));
     if (rows.empty()) break;
     for (const spanner::ScanRow& row : rows) {
-      ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(row.value));
-      codec::ResolveDocumentTimestamps(doc, row.version);
-      docs.push_back(std::move(doc));
+      ASSIGN_OR_RETURN(std::optional<Document> doc,
+                       codec::DecodeEntityRow(row.value, row.version));
+      docs.push_back(std::move(*doc));
     }
     start = KeySuccessor(rows.back().key);
   }

@@ -78,20 +78,16 @@ class ResultCollector {
                                  index::EntityKey(database_id, name),
                                  &version));
     ++out_->stats.entities_fetched;
-    if (!row.has_value()) {
-      // Index entry without a document: tolerated here (the write path keeps
-      // them consistent; a race with a concurrent snapshot cannot happen at
-      // a fixed timestamp).
-      return true;
-    }
-    ASSIGN_OR_RETURN(Document doc, codec::ParseDocument(*row));
-    codec::ResolveDocumentTimestamps(doc, version);
-    if (!query_.Matches(doc)) return true;
+    ASSIGN_OR_RETURN(std::optional<Document> doc,
+                     codec::DecodeEntityRow(row, version));
+    // An index entry without a document is tolerated (the write path keeps
+    // them consistent, and a read at a fixed timestamp cannot race it).
+    if (!doc.has_value() || !query_.Matches(*doc)) return true;
     if (to_skip_ > 0) {
       --to_skip_;
       return true;
     }
-    out_->documents.push_back(query_.ApplyProjection(std::move(doc)));
+    out_->documents.push_back(query_.ApplyProjection(std::move(*doc)));
     return query_.limit() == 0 ||
            static_cast<int64_t>(out_->documents.size()) < query_.limit();
   }

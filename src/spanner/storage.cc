@@ -40,9 +40,12 @@ const Tablet* Table::TabletForKey(const Key& key) const {
 }
 
 void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
-  Versions& versions = rows_[key];
-  if (!versions.empty()) {
-    FS_CHECK_GT(ts, versions.rbegin()->first);
+  auto row = rows_.try_emplace(key).first;
+  Versions& versions = row->second;
+  if (!versions.empty() || !value.has_value()) {
+    FS_CHECK(versions.empty() || ts > versions.rbegin()->first);
+    FS_CHECK(gc_queue_.empty() || ts >= gc_queue_.back().first);
+    gc_queue_.emplace_back(ts, row);
   }
   ++TabletForKey(key)->stats_.writes;
   FS_METRIC_COUNTER("spanner.rows.written").Increment();
@@ -141,20 +144,20 @@ Status Table::SplitAt(const Key& split_key) {
 
 int64_t Table::GarbageCollect(Timestamp horizon) {
   int64_t dropped = 0;
-  for (auto row = rows_.begin(); row != rows_.end();) {
+  while (!gc_queue_.empty() && gc_queue_.front().first <= horizon) {
+    auto [ts, row] = gc_queue_.front();
+    gc_queue_.pop_front();
     Versions& versions = row->second;
     // Keep the newest version <= horizon plus everything after horizon.
     auto keep = versions.upper_bound(horizon);
     if (keep != versions.begin()) --keep;
     dropped += std::distance(versions.begin(), keep);
     versions.erase(versions.begin(), keep);
-    // Drop rows reduced to a single old tombstone.
-    if (versions.size() == 1 && versions.begin()->first <= horizon &&
-        !versions.begin()->second.has_value()) {
+    // A row whose newest write is an old tombstone goes with that write's
+    // entry, its last, so no queued entry is left pointing at it.
+    if (versions.rbegin()->first == ts && !versions.rbegin()->second) {
       ++dropped;
-      row = rows_.erase(row);
-    } else {
-      ++row;
+      rows_.erase(row);
     }
   }
   return dropped;

@@ -16,6 +16,7 @@
 #define FIRESTORE_SPANNER_STORAGE_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,8 +40,8 @@ struct ScanRow {
 
 struct TabletStats {
   // Load counters are atomic: snapshot reads bump them while holding the
-  // database lock only in shared mode, racing other readers and the
-  // load-splitting scan.
+  // database lock only in shared mode, racing other shared-mode readers
+  // (load splitting holds it exclusively).
   std::atomic<int64_t> reads{0};
   std::atomic<int64_t> writes{0};
 };
@@ -73,8 +74,8 @@ class Table {
 
   const std::string& name() const { return name_; }
 
-  // Adds a version. Timestamps for one key must arrive in increasing order
-  // (guaranteed by the commit protocol). Counts a write on the key's tablet.
+  // Adds a version (timestamps rise per key, never fall across the table),
+  // counts a write on its tablet, and queues an overwrite or tombstone for GC.
   void Apply(const Key& key, RowValue value, Timestamp ts);
 
   // Latest version at or before `ts`; nullopt if the row does not exist at
@@ -96,7 +97,7 @@ class Table {
   const Tablet* TabletForKey(const Key& key) const;
 
   // Load-based maintenance: splits every tablet whose accumulated write+read
-  // count exceeds `load_threshold` (at the middle one of its stored keys)
+  // count reaches `load_threshold` (at the middle one of its stored keys)
   // and resets load counters. Returns the number of splits performed.
   int MaybeSplit(int64_t load_threshold);
 
@@ -106,8 +107,10 @@ class Table {
 
   // Drops versions older than `horizon` that are shadowed by newer ones
   // (MVCC garbage collection), and rows reduced to one old tombstone.
-  // Returns versions dropped.
+  // Returns versions dropped. Its cost follows the queued writes at or
+  // below `horizon`, not the size of the store.
   int64_t GarbageCollect(Timestamp horizon);
+  size_t gc_queue_size() const { return gc_queue_.size(); }
 
   size_t tablet_count() const { return tablets_.size(); }
   const std::vector<std::unique_ptr<Tablet>>& tablets() const {
@@ -127,6 +130,9 @@ class Table {
 
   std::string name_;
   std::map<Key, Versions> rows_;
+  // (ts, row) of each overwrite and tombstone, in timestamp order.
+  std::deque<std::pair<Timestamp, std::map<Key, Versions>::iterator>>
+      gc_queue_;
   std::vector<std::unique_ptr<Tablet>> tablets_;  // sorted by start_key
 };
 

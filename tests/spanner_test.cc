@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -441,14 +443,46 @@ TEST_F(SpannerTest, ReadsBelowGcHorizonFailInsteadOfReportingAbsent) {
 }
 
 TEST_F(SpannerTest, GarbageCollectionRemovesDeadRows) {
+  auto del = [&](const std::string& key) {
+    auto txn = db_.BeginTransaction();
+    txn->Delete("T", key);
+    auto result = txn->Commit();
+    FS_CHECK(result.ok());
+    return result->commit_ts;
+  };
   Put("k", "v1");
-  auto txn = db_.BeginTransaction();
-  txn->Delete("T", "k");
-  auto result = txn->Commit();
-  ASSERT_TRUE(result.ok());
-  db_.GarbageCollect(result->commit_ts + 1);
+  EXPECT_EQ(db_.GarbageCollect(del("k") + 1), 2);
   auto rows = db_.SnapshotScan("T", "", "", db_.StrongReadTimestamp());
   EXPECT_TRUE(rows->empty());
+  // Put, put, delete of one key, collected in one pass: the overwrite's
+  // entry trims both puts but must leave the row to the tombstone's entry.
+  Put("j", "v1");
+  Put("j", "v2");
+  EXPECT_EQ(db_.GarbageCollect(del("j") + 1), 3);
+  rows = db_.SnapshotScan("T", "", "", db_.StrongReadTimestamp());
+  EXPECT_TRUE(rows->empty());
+  EXPECT_EQ(db_.GetTable("T")->gc_queue_size(), 0u);
+}
+
+TEST_F(SpannerTest, GarbageCollectionCostFollowsQueuedWrites) {
+  Table* table = db_.GetTable("T");
+  auto key = [](int i) { return "k" + std::to_string(i); };
+  for (int i = 0; i < 100; ++i) Put(key(i), "v1");
+  // Fresh keys shadow nothing: a pass has nothing to visit.
+  EXPECT_EQ(table->gc_queue_size(), 0u);
+  EXPECT_EQ(db_.GarbageCollect(db_.last_commit_ts()), 0);
+  std::vector<Timestamp> overwrites;
+  for (int i = 0; i < 6; ++i) overwrites.push_back(Put(key(i), "v2"));
+  EXPECT_EQ(table->gc_queue_size(), 6u);
+  // A horizon pops only the entries at or below it.
+  EXPECT_EQ(db_.GarbageCollect(overwrites[2]), 3);
+  EXPECT_EQ(table->gc_queue_size(), 3u);
+  EXPECT_EQ(db_.GarbageCollect(db_.last_commit_ts() + 1), 3);
+  EXPECT_EQ(table->gc_queue_size(), 0u);
+  Timestamp now = db_.StrongReadTimestamp();
+  EXPECT_EQ(**db_.SnapshotRead("T", key(0), now), "v2");
+  EXPECT_EQ(**db_.SnapshotRead("T", key(99), now), "v1");
+  EXPECT_EQ(db_.SnapshotScan("T", "", "", now)->size(), 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -642,20 +676,26 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
     }
     if (rng.Bernoulli(0.05)) {
       Timestamp h = rng.Uniform(horizon, now + 10);
-      db.GarbageCollect(h);
+      const int64_t dropped = db.GarbageCollect(h);
       horizon = std::max(horizon, std::min(h, now));
+      // GC must be complete, not only leave reads correct: it drops exactly
+      // the versions and rows the model drops.
+      int64_t model_dropped = 0;
       for (auto row = stored.begin(); row != stored.end();) {
         History& versions = row->second;
         auto keep = versions.upper_bound(h);
         if (keep != versions.begin()) --keep;
+        model_dropped += std::distance(versions.begin(), keep);
         versions.erase(versions.begin(), keep);
         if (versions.size() == 1 && versions.begin()->first <= h &&
             !versions.begin()->second.has_value()) {
+          ++model_dropped;
           row = stored.erase(row);
         } else {
           ++row;
         }
       }
+      EXPECT_EQ(dropped, model_dropped) << "GC at " << h;
     }
     check_tiling();
     if (HasFailure()) return;
