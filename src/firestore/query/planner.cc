@@ -206,14 +206,9 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
     for (const FieldPath& f : uncovered) {
       add_candidate(catalog.AutoIndex(collection, f, SegmentKind::kAscending));
     }
-  } else if (order.size() == 1 && uncovered.empty()) {
-    add_candidate(catalog.AutoIndex(collection, order[0].field,
-                                    order[0].descending
-                                        ? SegmentKind::kDescending
-                                        : SegmentKind::kAscending));
   } else if (order.size() == 1) {
     // Joined scans each need suffix == order; the pure order-provider index
-    // is a candidate alongside composites.
+    // is a candidate alongside composites (and alone with no equalities).
     add_candidate(catalog.AutoIndex(collection, order[0].field,
                                     order[0].descending
                                         ? SegmentKind::kDescending

@@ -277,10 +277,13 @@ StatusOr<std::vector<ScanRow>> Database::ScanLocked(
 int Database::RunLoadSplitting(int64_t load_threshold) {
   WriterMutexLock lock(&data_mu_);
   int splits = 0;
+  int64_t tablets = 0;
   for (auto& [name, table] : tables_) {
     (void)name;
     splits += table->MaybeSplit(load_threshold);
+    tablets += static_cast<int64_t>(table->tablet_count());
   }
+  FS_METRIC_GAUGE("spanner.tablets").Set(tablets);
   return splits;
 }
 

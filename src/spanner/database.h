@@ -133,7 +133,7 @@ class Database {
   LockManager& lock_manager() { return lock_manager_; }
 
   // Background maintenance: load-based tablet splitting across all tables.
-  // Returns splits performed.
+  // Returns splits performed; sets the `spanner.tablets` gauge.
   int RunLoadSplitting(int64_t load_threshold);
 
   // MVCC garbage collection of versions older than `horizon`. Raises the

@@ -1,13 +1,16 @@
-// Multi-version row storage: Table and its Tablets.
+// Multi-version row storage: a Table, its rows and its tablets.
 //
-// A Table holds all of its rows in one ordered map. Its key space is
-// partitioned into Tablets, consecutive key ranges [start_key, limit_key)
-// that own no rows (paper §IV-D1: "Spanner's automatic load-based splitting
-// and merging of rows into tablets"). A tablet is the unit of load
-// accounting, load-based splitting and 2PC participant counting, so a split
-// only inserts a boundary and moves no rows. Rows are multi-versioned: every
-// committed write adds a (timestamp, value-or-tombstone) version, enabling
-// lock-free snapshot reads at any past timestamp.
+// A Table holds all of its rows in one ordered map. Its key space is tiled
+// by tablets, kept as one map from start key to load counters: the first
+// tablet starts at "" and each runs up to the next start key (paper §IV-D1:
+// "Spanner's automatic load-based splitting and merging of rows into
+// tablets"). A tablet owns no rows; it is the unit of load accounting,
+// load-based splitting and 2PC participant counting, so a split only inserts
+// a start key and moves no rows. A tablet's load is what it served since the
+// last splitting pass, so a steady load settles into a fixed tiling. Rows are
+// multi-versioned: every committed write adds a (timestamp,
+// value-or-tombstone) version, enabling lock-free snapshot reads at any past
+// timestamp.
 //
 // Thread-compatible: the Database serializes access (commits exclusive,
 // snapshot reads shared).
@@ -17,8 +20,8 @@
 
 #include <atomic>
 #include <deque>
+#include <iterator>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,34 +41,18 @@ struct ScanRow {
   Timestamp version = 0;  // commit timestamp of the returned version
 };
 
+// A tablet's load since the last splitting pass.
 struct TabletStats {
-  // Load counters are atomic: snapshot reads bump them while holding the
-  // database lock only in shared mode, racing other shared-mode readers
-  // (load splitting holds it exclusively).
-  std::atomic<int64_t> reads{0};
-  std::atomic<int64_t> writes{0};
+  // Atomic and mutable: snapshot reads bump them through a const Table while
+  // holding the database lock only in shared mode, racing other shared-mode
+  // readers (a splitting pass holds it exclusively).
+  mutable std::atomic<int64_t> reads{0};
+  mutable std::atomic<int64_t> writes{0};
 };
 
-// One contiguous key range [start_key, limit_key) of a table. An empty
-// limit_key means "unbounded above".
-class Tablet {
- public:
-  Tablet(Key start_key, Key limit_key)
-      : start_key_(std::move(start_key)), limit_key_(std::move(limit_key)) {}
-
-  const Key& start_key() const { return start_key_; }
-  const Key& limit_key() const { return limit_key_; }
-  bool Contains(const Key& key) const;
-
-  const TabletStats& stats() const { return stats_; }
-
- private:
-  friend class Table;
-
-  Key start_key_;
-  Key limit_key_;
-  mutable TabletStats stats_;
-};
+// Start key -> load. The first start key is "", and each tablet runs up to
+// the next start key (the last one is unbounded above).
+using Tablets = std::map<Key, TabletStats>;
 
 // The rows of one table, and the tablets covering its whole key space.
 class Table {
@@ -92,17 +79,20 @@ class Table {
   std::vector<ScanRow> ScanAt(const Key& start, const Key& limit,
                               Timestamp ts, int64_t max_rows = 0) const;
 
-  // The tablet owning `key`.
-  Tablet* TabletForKey(const Key& key);
-  const Tablet* TabletForKey(const Key& key) const;
+  // The tablet owning `key`: the last one starting at or before it.
+  Tablets::const_iterator TabletForKey(const Key& key) const {
+    return std::prev(tablets_.upper_bound(key));
+  }
 
-  // Load-based maintenance: splits every tablet whose accumulated write+read
-  // count reaches `load_threshold` (at the middle one of its stored keys)
-  // and resets load counters. Returns the number of splits performed.
+  // Load-based maintenance: splits every tablet whose reads+writes since the
+  // last pass reach `load_threshold` at the middle one of its stored keys,
+  // and starts every tablet's next load window at zero. Returns the number
+  // of splits performed.
   int MaybeSplit(int64_t load_threshold);
 
-  // Explicit pre-split, e.g. to initialize a database "with enough data to
-  // ensure that commits spanned multiple tablets" (paper §V-B2).
+  // Explicit pre-split (ALREADY_EXISTS if `split_key` starts a tablet), e.g.
+  // to initialize a database "with enough data to ensure that commits
+  // spanned multiple tablets" (paper §V-B2).
   Status SplitAt(const Key& split_key);
 
   // Drops versions older than `horizon` that are shadowed by newer ones
@@ -113,9 +103,7 @@ class Table {
   size_t gc_queue_size() const { return gc_queue_.size(); }
 
   size_t tablet_count() const { return tablets_.size(); }
-  const std::vector<std::unique_ptr<Tablet>>& tablets() const {
-    return tablets_;
-  }
+  const Tablets& tablets() const { return tablets_; }
 
   // Distinct tablets touched by a set of keys (the 2PC participant count).
   int ParticipantCount(const std::vector<Key>& keys) const;
@@ -123,17 +111,12 @@ class Table {
  private:
   using Versions = std::map<Timestamp, RowValue>;
 
-  size_t TabletIndexForKey(const Key& key) const;
-  // Ends tablet `index` at `split_key` (strictly inside its range), inserts
-  // the upper half after it, and resets the lower half's load counters.
-  void SplitTablet(size_t index, const Key& split_key);
-
   std::string name_;
   std::map<Key, Versions> rows_;
   // (ts, row) of each overwrite and tombstone, in timestamp order.
   std::deque<std::pair<Timestamp, std::map<Key, Versions>::iterator>>
       gc_queue_;
-  std::vector<std::unique_ptr<Tablet>> tablets_;  // sorted by start_key
+  Tablets tablets_;
 };
 
 }  // namespace firestore::spanner

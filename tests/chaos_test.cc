@@ -598,6 +598,10 @@ void RunChaos(uint64_t seed) {
   EXPECT_EQ(service.spanner().lock_manager().LockCount(), 0);
   EXPECT_GT(CounterValue("spanner.gc.versions_dropped"), gc_dropped_before)
       << "GC dropped no version under chaos";
+  EXPECT_GT(service.spanner().GetTable(index::kIndexEntriesTable)
+                ->tablet_count(),
+            1u)
+      << "load splitting split no IndexEntries tablet under chaos";
 
   (void)terminal_errors;  // informational; terminal teardown is legal
 

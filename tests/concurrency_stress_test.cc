@@ -18,6 +18,7 @@
 #include "backend/types.h"
 #include "common/clock.h"
 #include "common/thread_annotations.h"
+#include "firestore/index/layout.h"
 #include "firestore/model/document.h"
 #include "firestore/query/query.h"
 #include "service/service.h"
@@ -340,6 +341,9 @@ TEST(ServiceStressTest, CommittersReadersListenersAndSplits) {
 
   EXPECT_GT(CounterValue("spanner.gc.versions_dropped"),
             gc_dropped_before);
+  EXPECT_GT(service.spanner().GetTable(index::kIndexEntriesTable)
+                ->tablet_count(),
+            1u);
 
   FS_CHECK_OK(service.frontend().StopListen(conn, *target));
   service.frontend().CloseConnection(conn);

@@ -321,8 +321,8 @@ TEST_F(SpannerTest, ExplicitSplitRoutesKeys) {
   Table* table = db_.GetTable("T");
   ASSERT_TRUE(table->SplitAt("h").ok());
   EXPECT_EQ(table->tablet_count(), 2u);
-  EXPECT_EQ(table->TabletForKey("apple")->start_key(), "");
-  EXPECT_EQ(table->TabletForKey("mango")->start_key(), "h");
+  EXPECT_EQ(table->TabletForKey("apple")->first, "");
+  EXPECT_EQ(table->TabletForKey("mango")->first, "h");
   // Data still readable across the split.
   EXPECT_EQ(**db_.SnapshotRead("T", "apple", db_.StrongReadTimestamp()), "1");
   EXPECT_EQ(**db_.SnapshotRead("T", "mango", db_.StrongReadTimestamp()), "2");
@@ -356,8 +356,35 @@ TEST_F(SpannerTest, LoadBasedSplitting) {
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(splits, 1);
   ASSERT_EQ(table->tablet_count(), 2u);
-  EXPECT_EQ(table->tablets()[0]->limit_key(), keys[100]);
-  EXPECT_EQ(table->tablets()[1]->start_key(), keys[100]);
+  std::vector<Key> starts;
+  for (const auto& [start, stats] : table->tablets()) starts.push_back(start);
+  EXPECT_EQ(starts, (std::vector<Key>{"", keys[100]}));
+}
+
+TEST_F(SpannerTest, LoadSplittingSettlesUnderSteadyLoad) {
+  char buf[8];
+  std::vector<Key> keys;
+  for (int i = 0; i < 256; ++i) {
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    keys.push_back(buf);
+    Put(keys.back(), "v");
+  }
+  Table* table = db_.GetTable("T");
+  // Every pass reads each key once: 256 reads (plus the 256 writes before
+  // the first pass) halve into 128 then 64 per tablet, and 64 stays under
+  // the threshold, pass after pass.
+  for (int pass = 1; pass <= 10; ++pass) {
+    const Timestamp ts = db_.StrongReadTimestamp();
+    for (const Key& key : keys) {
+      ASSERT_TRUE(db_.SnapshotRead("T", key, ts).ok());
+    }
+    db_.RunLoadSplitting(/*load_threshold=*/100);
+    const size_t want = pass == 1 ? 2 : 4;
+    EXPECT_EQ(table->tablet_count(), want) << "pass " << pass;
+    EXPECT_EQ(MetricRegistry::Global().GetGauge("spanner.tablets").value(),
+              static_cast<int64_t>(want))
+        << "pass " << pass;
+  }
 }
 
 TEST_F(SpannerTest, ScanChargesEachReturnedRowToItsTablet) {
@@ -366,7 +393,7 @@ TEST_F(SpannerTest, ScanChargesEachReturnedRowToItsTablet) {
   txn->Delete("T", "e");
   ASSERT_TRUE(txn->Commit().ok());
   Table* table = db_.GetTable("T");
-  ASSERT_TRUE(table->SplitAt("d").ok());  // splits reset the load counters
+  ASSERT_TRUE(table->SplitAt("d").ok());
   ASSERT_TRUE(table->SplitAt("g").ok());
   const int64_t scanned_before =
       MetricRegistry::Global().GetCounter("spanner.rows.scanned").value();
@@ -379,16 +406,11 @@ TEST_F(SpannerTest, ScanChargesEachReturnedRowToItsTablet) {
   EXPECT_EQ(keys, (std::vector<Key>{"c", "d", "f", "g", "h", "i"}));
   EXPECT_EQ(MetricRegistry::Global().GetCounter("spanner.rows.scanned").value(),
             scanned_before + 6);
-  ASSERT_EQ(table->tablet_count(), 3u);
-  for (const auto& tablet : table->tablets()) {
-    int64_t owned = std::count_if(keys.begin(), keys.end(), [&](const Key& k) {
-      return tablet->Contains(k);
-    });
-    EXPECT_EQ(tablet->stats().reads.load(), owned) << tablet->start_key();
+  std::vector<int64_t> reads;
+  for (const auto& [start, stats] : table->tablets()) {
+    reads.push_back(stats.reads.load());
   }
-  EXPECT_EQ(table->tablets()[0]->stats().reads.load(), 1);
-  EXPECT_EQ(table->tablets()[1]->stats().reads.load(), 2);
-  EXPECT_EQ(table->tablets()[2]->stats().reads.load(), 3);
+  EXPECT_EQ(reads, (std::vector<int64_t>{1, 2, 3}));
 }
 
 TEST_F(SpannerTest, ParticipantCountReflectsTabletsTouched) {
@@ -522,19 +544,25 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
   };
   auto boundaries = [&] {
     std::vector<Key> starts;
-    for (const auto& tablet : table->tablets()) {
-      starts.push_back(tablet->start_key());
-    }
+    for (const auto& [start, stats] : table->tablets()) starts.push_back(start);
     return starts;
   };
+  // Brute force: the index of the last tablet starting at or before `key`.
+  auto owner = [](const std::vector<Key>& starts, const Key& key) {
+    size_t index = 0;
+    for (size_t i = 0; i < starts.size(); ++i) {
+      if (starts[i] <= key) index = i;
+    }
+    return index;
+  };
+  // Each tablet ends where the next starts, so the tiling is whole when the
+  // first start is "" and the starts are sorted.
   auto check_tiling = [&] {
-    const auto& tablets = table->tablets();
-    ASSERT_FALSE(tablets.empty());
-    EXPECT_EQ(tablets.front()->start_key(), "");
-    EXPECT_EQ(tablets.back()->limit_key(), "");
-    for (size_t i = 0; i + 1 < tablets.size(); ++i) {
-      EXPECT_EQ(tablets[i]->limit_key(), tablets[i + 1]->start_key());
-      EXPECT_LT(tablets[i]->start_key(), tablets[i + 1]->start_key());
+    std::vector<Key> starts = boundaries();
+    ASSERT_FALSE(starts.empty());
+    EXPECT_EQ(starts.front(), "");
+    for (size_t i = 0; i + 1 < starts.size(); ++i) {
+      EXPECT_LT(starts[i], starts[i + 1]);
     }
   };
 
@@ -617,12 +645,8 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
         keys.push_back(random_key());
       }
       std::set<size_t> owners;
-      const auto& tablets = table->tablets();
-      for (const Key& key : keys) {
-        for (size_t i = 0; i < tablets.size(); ++i) {
-          if (tablets[i]->Contains(key)) owners.insert(i);
-        }
-      }
+      const std::vector<Key> starts = boundaries();
+      for (const Key& key : keys) owners.insert(owner(starts, key));
       EXPECT_EQ(table->ParticipantCount(keys),
                 static_cast<int>(owners.size()));
     }
@@ -645,20 +669,17 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
     if (rng.Bernoulli(0.05)) {
       const int64_t threshold = rng.Uniform(5, 60);
       // Predicted: every tablet at the threshold with two or more stored
-      // keys splits at the middle one, and its load restarts at zero.
-      std::vector<Key> want = boundaries();
-      std::map<Key, int64_t> cold_load;  // by start key
+      // keys splits at the middle one, and every tablet's load restarts at
+      // zero.
+      const std::vector<Key> starts = boundaries();
+      std::vector<Key> want = starts;
       int predicted = 0;
-      for (const auto& tablet : table->tablets()) {
-        const TabletStats& st = tablet->stats();
-        const int64_t load = st.reads.load() + st.writes.load();
-        if (load < threshold) {
-          cold_load[tablet->start_key()] = load;
-          continue;
-        }
+      for (size_t i = 0; i < starts.size(); ++i) {
+        const TabletStats& st = table->tablets().at(starts[i]);
+        if (st.reads.load() + st.writes.load() < threshold) continue;
         std::vector<Key> keys;
         for (const auto& [key, versions] : stored) {
-          if (tablet->Contains(key)) keys.push_back(key);
+          if (owner(starts, key) == i) keys.push_back(key);
         }
         if (keys.size() < 2) continue;
         want.push_back(keys[keys.size() / 2]);
@@ -667,11 +688,8 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
       std::sort(want.begin(), want.end());
       EXPECT_EQ(db.RunLoadSplitting(threshold), predicted);
       EXPECT_EQ(boundaries(), want);
-      for (const auto& tablet : table->tablets()) {
-        auto cold = cold_load.find(tablet->start_key());
-        EXPECT_EQ(tablet->stats().reads.load() + tablet->stats().writes.load(),
-                  cold == cold_load.end() ? 0 : cold->second)
-            << tablet->start_key();
+      for (const auto& [start, stats] : table->tablets()) {
+        EXPECT_EQ(stats.reads.load() + stats.writes.load(), 0) << start;
       }
     }
     if (rng.Bernoulli(0.05)) {
