@@ -146,13 +146,15 @@ int main() {
   rules::AuthContext mallory;
   mallory.authenticated = true;
   mallory.uid = "mallory";
-  auto forged = service.CommitAsUser(
-      db, mallory,
+  auto forged = service.Commit(
+      db,
       {backend::Mutation::Create(
           P("/restaurants/zola/ratings/forged"),
           {{"rating", model::Value::Integer(1)},
-           {"userId", model::Value::String("alice")}})});
+           {"userId", model::Value::String("alice")}})},
+      &mallory);
   std::cout << "forged review: " << forged.status() << "\n";
+  FS_CHECK(forged.status().code() == StatusCode::kPermissionDenied);
 
   // The aggregate is consistent with the ratings.
   auto zola = service.Get(db, P("/restaurants/zola"));

@@ -165,7 +165,7 @@ StatusOr<CommitResponse> Committer::RunTransaction(
   // Attribute this loop's retry metrics to the committer
   // (retry.attempts{backend.run_transaction}).
   policy.name = "backend.run_transaction";
-  RetryState retry(policy, clock_, /*seed=*/0x5eed);
+  RetryState retry(policy, /*seed=*/0x5eed);
   while (true) {
     auto txn = spanner_->BeginTransaction();
     StatusOr<std::vector<Mutation>> mutations = body(*txn);

@@ -25,23 +25,6 @@ StatusOr<std::optional<Document>> ReadService::ReadDocumentAt(
   return codec::DecodeEntityRow(row, version);
 }
 
-Status ReadService::AuthorizeList(const std::string& database_id,
-                                  const query::Query& q, Timestamp read_ts,
-                                  const rules::RuleSet* rules,
-                                  const rules::AuthContext* auth) const {
-  if (rules == nullptr) return Status::Ok();
-  rules::AccessRequest request;
-  request.kind = rules::AccessKind::kList;
-  // Authorize against a representative member of the collection: patterns
-  // like /restaurants/{id} match with {id} bound to "*".
-  request.path = q.CollectionPath().Child("*");
-  request.auth = auth != nullptr ? *auth : rules::AuthContext{};
-  request.lookup = [this, &database_id, read_ts](const ResourcePath& p) {
-    return ReadDocumentAt(database_id, p, read_ts);
-  };
-  return rules->Authorize(request);
-}
-
 StatusOr<std::optional<Document>> ReadService::GetDocument(
     const std::string& database_id, const ResourcePath& name,
     Timestamp read_ts, const rules::RuleSet* rules,
@@ -79,7 +62,18 @@ StatusOr<RunQueryResult> ReadService::RunQuery(
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
   // "The execution of a non-real-time query starts by verifying the
   // security rules for the collection specified in the query" (§IV-D3).
-  RETURN_IF_ERROR(AuthorizeList(database_id, q, read_ts, rules, auth));
+  if (rules != nullptr) {
+    rules::AccessRequest request;
+    request.kind = rules::AccessKind::kList;
+    // Authorize against a representative member of the collection: patterns
+    // like /restaurants/{id} match with {id} bound to "*".
+    request.path = q.CollectionPath().Child("*");
+    request.auth = auth != nullptr ? *auth : rules::AuthContext{};
+    request.lookup = [this, &database_id, read_ts](const ResourcePath& p) {
+      return ReadDocumentAt(database_id, p, read_ts);
+    };
+    RETURN_IF_ERROR(rules->Authorize(request));
+  }
   ASSIGN_OR_RETURN(query::QueryPlan plan,
                    query::PlanQuery(catalog, database_id, q));
   query::SnapshotRowReader reader(spanner_, read_ts);
@@ -104,10 +98,8 @@ StatusOr<RunQueryResult> ReadService::RunQuery(
 
 StatusOr<RunCountResult> ReadService::RunCountQuery(
     const std::string& database_id, index::IndexCatalog& catalog,
-    const query::Query& q, Timestamp read_ts, const rules::RuleSet* rules,
-    const rules::AuthContext* auth) {
+    const query::Query& q, Timestamp read_ts) {
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
-  RETURN_IF_ERROR(AuthorizeList(database_id, q, read_ts, rules, auth));
   ASSIGN_OR_RETURN(query::QueryPlan plan,
                    query::PlanQuery(catalog, database_id, q));
   query::SnapshotRowReader reader(spanner_, read_ts);

@@ -61,11 +61,10 @@ class ReadService {
 
   // COUNT aggregation over a query (paper §VIII future work). Billed by
   // index rows scanned, preserving pay-as-you-go semantics.
-  StatusOr<RunCountResult> RunCountQuery(
-      const std::string& database_id, index::IndexCatalog& catalog,
-      const query::Query& q, spanner::Timestamp read_ts = 0,
-      const rules::RuleSet* rules = nullptr,
-      const rules::AuthContext* auth = nullptr);
+  StatusOr<RunCountResult> RunCountQuery(const std::string& database_id,
+                                         index::IndexCatalog& catalog,
+                                         const query::Query& q,
+                                         spanner::Timestamp read_ts = 0);
 
   // SUM / AVG over a numeric field of the query's results. If the query has
   // no filter, order, limit, offset or cursor, it is transparently ordered
@@ -87,12 +86,6 @@ class ReadService {
       const query::Query& q, spanner::ReadWriteTransaction& txn);
 
  private:
-  // Security-rules check for listing `q`'s collection (paper §IV-D3); OK
-  // when `rules` is null (privileged access).
-  Status AuthorizeList(const std::string& database_id, const query::Query& q,
-                       spanner::Timestamp read_ts,
-                       const rules::RuleSet* rules,
-                       const rules::AuthContext* auth) const;
   StatusOr<std::optional<model::Document>> ReadDocumentAt(
       const std::string& database_id, const model::ResourcePath& name,
       spanner::Timestamp read_ts) const;

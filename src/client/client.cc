@@ -21,11 +21,8 @@ StatusOr<std::optional<Document>> ClientTransaction::Get(
   if (!client_->network_enabled()) {
     return UnavailableError("transactions require connectivity");
   }
-  StatusOr<std::optional<Document>> doc =
-      client_->options_.third_party
-          ? client_->service_->GetAsUser(client_->database_id_,
-                                         client_->auth_, name)
-          : client_->service_->Get(client_->database_id_, name);
+  StatusOr<std::optional<Document>> doc = client_->service_->Get(
+      client_->database_id_, name, /*read_ts=*/0, client_->end_user());
   if (doc.ok()) {
     read_versions_[name.CanonicalString()] =
         doc->has_value() ? (*doc)->update_time() : 0;
@@ -141,8 +138,7 @@ StatusOr<std::optional<Document>> FirestoreClient::Get(
     return UnavailableError("document not cached and the client is offline");
   }
   StatusOr<std::optional<Document>> remote =
-      options_.third_party ? service_->GetAsUser(database_id_, auth_, name)
-                           : service_->Get(database_id_, name);
+      service_->Get(database_id_, name, /*read_ts=*/0, end_user());
   if (remote.ok()) {
     int64_t ts = remote->has_value() ? (*remote)->update_time() : 0;
     store_.ApplyServerDocument(name, *remote, ts);
@@ -155,11 +151,8 @@ StatusOr<ViewSnapshot> FirestoreClient::RunQuery(const query::Query& q) {
   view.from_cache = !online_;
   view.has_pending_writes = store_.PendingAffects(q);
   if (online_) {
-    const query::Query fetch = FullDocuments(q);
-    StatusOr<backend::RunQueryResult> result =
-        options_.third_party
-            ? service_->RunQueryAsUser(database_id_, auth_, fetch)
-            : service_->RunQuery(database_id_, fetch);
+    StatusOr<backend::RunQueryResult> result = service_->RunQuery(
+        database_id_, FullDocuments(q), /*read_ts=*/0, end_user());
     RETURN_IF_ERROR(result.status());
     for (const Document& doc : result->result.documents) {
       store_.ApplyServerDocument(doc.name(), doc, result->read_ts);
@@ -298,19 +291,11 @@ void FirestoreClient::DeliverView(Listener& listener) {
   listener.callback(view);
 }
 
-StatusOr<backend::CommitResponse> FirestoreClient::SendCommit(
-    const std::vector<Mutation>& mutations) {
-  if (options_.third_party) {
-    return service_->CommitAsUser(database_id_, auth_, mutations);
-  }
-  return service_->Commit(database_id_, mutations);
-}
-
 Status FirestoreClient::FlushPending() {
   if (service_->clock().NowMicros() < flush_retry_at_) {
     return Status::Ok();  // backing off after a transient failure
   }
-  // A listener callback runs inside SendCommit and may write, which grows
+  // A listener callback runs inside the commit and may write, which grows
   // the queue, or pump, which would send its front a second time.
   if (flushing_) return Status::Ok();
   flushing_ = true;
@@ -325,7 +310,7 @@ Status FirestoreClient::FlushQueue() {
     const Mutation mutation = store_.pending().front().mutation;
     Status fault = FS_FAULT_POINT("client.flush");
     StatusOr<backend::CommitResponse> result =
-        fault.ok() ? SendCommit({mutation})
+        fault.ok() ? service_->Commit(database_id_, {mutation}, end_user())
                    : StatusOr<backend::CommitResponse>(fault);
     if (result.ok()) {
       ++writes_flushed_;
@@ -400,7 +385,8 @@ Status FirestoreClient::RunTransaction(const TransactionFn& fn,
       }
     }
     if (to_commit.empty()) return Status::Ok();
-    StatusOr<backend::CommitResponse> result = SendCommit(to_commit);
+    StatusOr<backend::CommitResponse> result =
+        service_->Commit(database_id_, to_commit, end_user());
     if (result.ok()) {
       for (const backend::DocumentChange& change : result->changes) {
         store_.ApplyServerDocument(

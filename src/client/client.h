@@ -151,8 +151,10 @@ class FirestoreClient {
   void DeliverView(Listener& listener);
   Status FlushPending();
   Status FlushQueue();  // FlushPending's loop
-  StatusOr<backend::CommitResponse> SendCommit(
-      const std::vector<backend::Mutation>& mutations);
+  // The end user every request runs as; null for a Server SDK client.
+  const rules::AuthContext* end_user() const {
+    return options_.third_party ? &auth_ : nullptr;
+  }
 
   service::FirestoreService* service_;
   std::string database_id_;

@@ -179,9 +179,9 @@ class MetricRegistry {
 
 // Call-site macros. The unlabeled forms resolve the registry entry once per
 // site (function-local static reference): after first use, the expression is
-// a single static load — no registry lock, no map lookup. The *_FOR labeled
-// forms take a dynamic label (tenant id, policy name) and pay one
-// shared-lock map lookup per call; use them off the per-row hot path.
+// a single static load — no registry lock, no map lookup. The labeled
+// FS_METRIC_COUNTER_FOR takes a dynamic label (tenant id, policy name) and
+// pays one shared-lock map lookup per call; use it off the per-row hot path.
 //
 // The fslint metric-name-registry rule requires `name` to be a unique string
 // literal catalogued in docs/OBSERVABILITY.md (src/ only).
@@ -208,11 +208,5 @@ class MetricRegistry {
 
 #define FS_METRIC_COUNTER_FOR(name, label) \
   (::firestore::MetricRegistry::Global().GetCounter(name, label))
-
-#define FS_METRIC_GAUGE_FOR(name, label) \
-  (::firestore::MetricRegistry::Global().GetGauge(name, label))
-
-#define FS_METRIC_TIMER_FOR(name, label) \
-  (::firestore::MetricRegistry::Global().GetTimer(name, label))
 
 #endif  // FIRESTORE_COMMON_METRICS_H_

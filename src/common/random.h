@@ -33,8 +33,6 @@ class Rng {
   // Random alphanumeric string of length n.
   std::string AlphaNumString(size_t n);
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

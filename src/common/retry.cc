@@ -16,12 +16,6 @@ bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
 }
 
-// Single declaration site (metric-name-registry) shared by both give-up
-// legs: budget exhausted and deadline overrun.
-void RecordGiveUp(const char* policy_name) {
-  FS_METRIC_COUNTER_FOR("retry.give_ups", policy_name).Increment();
-}
-
 }  // namespace
 
 bool IsRetryableStatus(const Status& s) {
@@ -70,19 +64,10 @@ std::optional<Micros> RetryAfterHint(const Status& s) {
 
 Micros NextBackoff(const RetryPolicy& policy, Rng& rng, Micros* prev) {
   Micros base = std::max<Micros>(policy.initial_backoff, 1);
-  Micros next;
-  if (policy.decorrelated_jitter) {
-    // AWS decorrelated jitter: uniform(base, prev * 3), capped.
-    Micros hi = *prev > 0
-                    ? std::max<Micros>(base, *prev * 3)
-                    : base;
-    next = rng.Uniform(base, std::max<Micros>(hi, base));
-  } else {
-    next = *prev > 0 ? static_cast<Micros>(
-                           static_cast<double>(*prev) * policy.multiplier)
-                     : base;
-  }
-  next = std::min(next, std::max<Micros>(policy.max_backoff, base));
+  // AWS decorrelated jitter: uniform(base, prev * 3), capped.
+  Micros hi = *prev > 0 ? std::max<Micros>(base, *prev * 3) : base;
+  Micros next = std::min(rng.Uniform(base, hi),
+                         std::max<Micros>(policy.max_backoff, base));
   *prev = next;
   return next;
 }
@@ -96,18 +81,13 @@ bool RetryState::ShouldRetryClassified(bool retryable, const Status& s,
   // retry follows; chaos tests cross-check this against fault-point fires.
   FS_METRIC_COUNTER_FOR("retry.attempts", policy_.name).Increment();
   if (attempts_ >= policy_.max_attempts) {
-    RecordGiveUp(policy_.name);
+    FS_METRIC_COUNTER_FOR("retry.give_ups", policy_.name).Increment();
     return false;
   }
   Micros delay = NextBackoff(policy_, rng_, &prev_backoff_);
   if (std::optional<Micros> hint = RetryAfterHint(s); hint.has_value()) {
     delay = std::max(delay, *hint);
     prev_backoff_ = std::max(prev_backoff_, delay);
-  }
-  if (policy_.deadline > 0 && clock_ != nullptr &&
-      clock_->NowMicros() + delay > policy_.deadline) {
-    RecordGiveUp(policy_.name);
-    return false;
   }
   if (delay_out != nullptr) *delay_out = delay;
   return true;

@@ -46,16 +46,6 @@ struct IndexDefinition {
   IndexState state = IndexState::kActive;
   bool automatic = false;
 
-  // Directions of the value components, for suffix parsing.
-  std::vector<bool> ValueDirections() const {
-    std::vector<bool> dirs;
-    dirs.reserve(segments.size());
-    for (const IndexSegment& s : segments) {
-      dirs.push_back(s.kind == SegmentKind::kDescending);
-    }
-    return dirs;
-  }
-
   std::string DebugString() const;
 };
 

@@ -23,7 +23,6 @@ class Document {
 
   const ResourcePath& name() const { return name_; }
   const Map& fields() const { return fields_; }
-  Map& mutable_fields() { return fields_; }
 
   // Commit timestamps (micros); 0 until the document is stored.
   int64_t create_time() const { return create_time_; }

@@ -102,7 +102,6 @@ const std::string& Value::reference_value() const {
 }
 const Array& Value::array_value() const { return std::get<Array>(rep_); }
 const Map& Value::map_value() const { return std::get<Map>(rep_); }
-Array& Value::mutable_array_value() { return std::get<Array>(rep_); }
 Map& Value::mutable_map_value() { return std::get<Map>(rep_); }
 
 namespace {

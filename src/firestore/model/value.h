@@ -75,7 +75,6 @@ class Value {
   static Value FromMap(Map m);
 
   ValueType type() const;
-  bool is_null() const { return type() == ValueType::kNull; }
   bool is_integer() const {
     return std::holds_alternative<int64_t>(rep_);
   }
@@ -94,7 +93,6 @@ class Value {
   const std::string& reference_value() const;
   const Array& array_value() const;
   const Map& map_value() const;
-  Array& mutable_array_value();
   Map& mutable_map_value();
 
   // Total cross-type ordering described above. Integers and doubles compare

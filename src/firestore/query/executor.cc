@@ -257,14 +257,6 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
   return result;
 }
 
-StatusOr<QueryResult> PlanAndExecute(index::IndexCatalog& catalog,
-                                     RowReader& reader,
-                                     std::string_view database_id,
-                                     const Query& query) {
-  ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(catalog, database_id, query));
-  return ExecuteQuery(reader, database_id, query, plan);
-}
-
 StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
                                         std::string_view /*database_id*/,
                                         const Query& query,

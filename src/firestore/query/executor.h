@@ -49,12 +49,6 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
                                    const Query& query, const QueryPlan& plan,
                                    ExecOptions options = {});
 
-// Convenience: plan + execute in one step.
-StatusOr<QueryResult> PlanAndExecute(index::IndexCatalog& catalog,
-                                     RowReader& reader,
-                                     std::string_view database_id,
-                                     const Query& query);
-
 struct CountResult {
   int64_t count = 0;
   QueryStats stats;

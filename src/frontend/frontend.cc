@@ -41,7 +41,7 @@ Frontend::ConnectionId Frontend::OpenConnection(
     const std::string& database_id, rules::AuthContext auth) {
   MutexLock lock(&mu_);
   ConnectionId id = next_id_++;
-  connections_[id] = Connection{database_id, std::move(auth), false, {}};
+  connections_[id] = Connection{database_id, std::move(auth), {}};
   return id;
 }
 
@@ -49,7 +49,7 @@ Frontend::ConnectionId Frontend::OpenPrivilegedConnection(
     const std::string& database_id) {
   MutexLock lock(&mu_);
   ConnectionId id = next_id_++;
-  connections_[id] = Connection{database_id, {}, true, {}};
+  connections_[id] = Connection{database_id, std::nullopt, {}};
   return id;
 }
 
@@ -152,19 +152,10 @@ uint64_t Frontend::EraseTargetLocked(TargetId id) {
 StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
                                                     Target& target) {
   RETURN_IF_ERROR(FS_FAULT_POINT("frontend.initial_snapshot"));
-  ASSIGN_OR_RETURN(TenantAccess tenant, tenants_(target.database_id));
-  const rules::AuthContext* auth = nullptr;
-  const rules::RuleSet* rules = nullptr;
-  auto conn = connections_.find(target.connection);
-  if (conn != connections_.end() && !conn->second.privileged) {
-    // Third-party access must be authorized by security rules.
-    if (tenant.rules == nullptr) {
-      return PermissionDeniedError(
-          "third-party access requires security rules");
-    }
-    rules = tenant.rules;
-    auth = &conn->second.auth;
-  }
+  const std::optional<rules::AuthContext>& end_user =
+      connections_.at(target.connection).auth;
+  const rules::AuthContext* auth = end_user ? &*end_user : nullptr;
+  ASSIGN_OR_RETURN(TenantAccess tenant, tenants_(target.database_id, auth));
   // Subscribe to the Query Matchers owning the document-name ranges that
   // cover the query's result set BEFORE taking the snapshot read. A commit
   // landing between the read and the subscription would otherwise be
@@ -197,7 +188,8 @@ StatusOr<QuerySnapshot> Frontend::ResetTargetLocked(TargetId id,
   query::Query read = target.query;
   read.Project({});
   auto initial_or = reader_->RunQuery(target.database_id, *tenant.catalog,
-                                      read, /*read_ts=*/0, rules, auth);
+                                      read, /*read_ts=*/0,
+                                      tenant.rules.get(), auth);
   if (!initial_or.ok()) {
     // Roll the subscription back so a failed fresh Listen leaks nothing;
     // the out-of-sync retry loop re-subscribes on the next attempt, and

@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -48,17 +49,19 @@
 
 namespace firestore::frontend {
 
-// Per-database state the Frontend needs to serve a query.
+// Per-database state the Frontend needs to serve one connection's query.
 struct TenantAccess {
   index::IndexCatalog* catalog = nullptr;
-  const rules::RuleSet* rules = nullptr;  // null => privileged access
-  // Keeps the tenant that owns `catalog`/`rules` alive while this access is
-  // in scope (the tenant may be deleted concurrently).
+  std::shared_ptr<const rules::RuleSet> rules;  // null => privileged access
+  // Keeps the tenant that owns `catalog` alive while this access is in
+  // scope (the tenant may be deleted concurrently).
   std::shared_ptr<const void> keepalive;
 };
 
-using TenantResolver =
-    std::function<StatusOr<TenantAccess>(const std::string& database_id)>;
+// Resolves a database for a caller: a null `auth` is privileged; an end
+// user gets the rules to enforce, or an error (PERMISSION_DENIED).
+using TenantResolver = std::function<StatusOr<TenantAccess>(
+    const std::string& database_id, const rules::AuthContext* auth)>;
 
 enum class ChangeKind { kAdded, kModified, kRemoved };
 
@@ -161,8 +164,7 @@ class Frontend {
 
   struct Connection {
     std::string database_id;
-    rules::AuthContext auth;
-    bool privileged = false;
+    std::optional<rules::AuthContext> auth;  // nullopt => privileged
     std::vector<TargetId> targets;
   };
 

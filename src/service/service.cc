@@ -28,6 +28,20 @@ void SetTenantGauge(size_t tenants) {
 // Realtime ranges when no explicit split points are given.
 constexpr int kRealtimeRanges = 16;
 
+// The one decision between privileged and rules-checked access: no rules
+// for a null `auth` (a Server SDK caller); for an end user the tenant's
+// `rules`, or PERMISSION_DENIED when it has none.
+StatusOr<std::shared_ptr<const rules::RuleSet>> RulesFor(
+    const rules::AuthContext* auth,
+    std::shared_ptr<const rules::RuleSet> rules) {
+  if (auth == nullptr) return std::shared_ptr<const rules::RuleSet>();
+  if (rules == nullptr) {
+    return PermissionDeniedError(
+        "third-party access requires security rules");
+  }
+  return rules;
+}
+
 }  // namespace
 
 FirestoreService::FirestoreService(const Clock* clock)
@@ -52,16 +66,13 @@ FirestoreService::FirestoreService(const Clock* clock, Options options)
   reader_.set_billing(&billing_);
   frontend_ = std::make_unique<frontend::Frontend>(
       clock, &reader_, &matcher_, &ranges_,
-      [this](const std::string& db) -> StatusOr<frontend::TenantAccess> {
-        MutexLock lock(&mu_);
-        auto it = tenants_.find(db);
-        if (it == tenants_.end()) {
-          return NotFoundError("no such database: " + db);
-        }
+      [this](const std::string& db, const rules::AuthContext* auth)
+          -> StatusOr<frontend::TenantAccess> {
+        ASSIGN_OR_RETURN(TenantView view, GetTenant(db));
         frontend::TenantAccess access;
-        access.catalog = &it->second->catalog;
-        access.rules = it->second->rules.get();
-        access.keepalive = it->second;
+        ASSIGN_OR_RETURN(access.rules, RulesFor(auth, std::move(view.rules)));
+        access.catalog = &view.tenant->catalog;
+        access.keepalive = std::move(view.tenant);
         return access;
       },
       options.frontend_options);
@@ -72,20 +83,18 @@ Status FirestoreService::CreateDatabase(const std::string& database_id,
   if (database_id.empty()) {
     return InvalidArgumentError("empty database id");
   }
-  std::unique_ptr<rules::RuleSet> rules;
+  auto tenant = std::make_shared<Tenant>();
   if (!options.rules_source.empty()) {
     ASSIGN_OR_RETURN(rules::RuleSet parsed,
                      rules::RuleSet::Parse(options.rules_source));
-    rules = std::make_unique<rules::RuleSet>(std::move(parsed));
+    tenant->rules = std::make_shared<const rules::RuleSet>(std::move(parsed));
   }
-  auto tenant = std::make_shared<Tenant>();
   tenant->requests =
       &FS_METRIC_COUNTER_FOR("service.tenant.requests", database_id);
   MutexLock lock(&mu_);
   if (tenants_.count(database_id) != 0) {
     return AlreadyExistsError("database exists: " + database_id);
   }
-  tenant->rules = std::move(rules);
   tenants_.emplace(database_id, std::move(tenant));
   SetTenantGauge(tenants_.size());
   return Status::Ok();
@@ -122,119 +131,124 @@ std::vector<std::string> FirestoreService::ListDatabases() const {
   return names;
 }
 
-StatusOr<std::shared_ptr<FirestoreService::Tenant>>
-FirestoreService::GetTenant(const std::string& database_id) {
+StatusOr<FirestoreService::TenantView> FirestoreService::GetTenant(
+    const std::string& database_id) {
   MutexLock lock(&mu_);
   auto it = tenants_.find(database_id);
   if (it == tenants_.end()) {
     return NotFoundError("no such database: " + database_id);
   }
-  return it->second;
+  return TenantView{it->second, it->second->rules, it->second->triggers};
 }
 
 Status FirestoreService::SetRules(const std::string& database_id,
                                   const std::string& source) {
   ASSIGN_OR_RETURN(rules::RuleSet parsed, rules::RuleSet::Parse(source));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->rules = std::make_unique<rules::RuleSet>(std::move(parsed));
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  auto rules = std::make_shared<const rules::RuleSet>(std::move(parsed));
+  MutexLock lock(&mu_);
+  view.tenant->rules = std::move(rules);
   return Status::Ok();
 }
 
 Status FirestoreService::AddFieldExemption(const std::string& database_id,
                                            const std::string& collection_id,
                                            const model::FieldPath& field) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->catalog.AddExemption(collection_id, field);
-  return backfill_.RemoveExemptedFieldEntries(tenant->catalog, database_id,
-                                              collection_id, field);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->catalog.AddExemption(collection_id, field);
+  return backfill_.RemoveExemptedFieldEntries(view.tenant->catalog,
+                                              database_id, collection_id,
+                                              field);
 }
 
 StatusOr<index::IndexId> FirestoreService::CreateCompositeIndex(
     const std::string& database_id, const std::string& collection_id,
     std::vector<index::IndexSegment> segments) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  return backfill_.CreateIndex(tenant->catalog, database_id, collection_id,
-                               std::move(segments));
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  return backfill_.CreateIndex(view.tenant->catalog, database_id,
+                               collection_id, std::move(segments));
 }
 
 Status FirestoreService::DropIndex(const std::string& database_id,
                                    index::IndexId id) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  return backfill_.DropIndex(tenant->catalog, database_id, id);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  return backfill_.DropIndex(view.tenant->catalog, database_id, id);
 }
 
 Status FirestoreService::RegisterTrigger(
     const std::string& database_id, const std::string& function_name,
     const std::vector<std::string>& pattern) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
   backend::TriggerDefinition def;
   def.function_name = function_name;
   def.pattern = pattern;
-  tenant->triggers.push_back(std::move(def));
+  MutexLock lock(&mu_);
+  auto triggers = std::make_shared<std::vector<backend::TriggerDefinition>>(
+      *view.tenant->triggers);
+  triggers->push_back(std::move(def));
+  view.tenant->triggers = std::move(triggers);
   return Status::Ok();
 }
 
 StatusOr<CommitResponse> FirestoreService::Commit(
-    const std::string& database_id,
-    const std::vector<Mutation>& mutations) {
+    const std::string& database_id, const std::vector<Mutation>& mutations,
+    const rules::AuthContext* auth) {
   FS_SPAN("service.commit");
   ScopedTimer timer(FS_METRIC_TIMER("service.commit.latency"), clock_);
   FS_METRIC_COUNTER("service.commits").Increment();
   RETURN_IF_ERROR(FS_FAULT_POINT("service.commit"));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return committer_.Commit(database_id, tenant->catalog, mutations,
-                           tenant->triggers);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  ASSIGN_OR_RETURN(std::shared_ptr<const rules::RuleSet> rules,
+                   RulesFor(auth, std::move(view.rules)));
+  return committer_.Commit(database_id, view.tenant->catalog, mutations,
+                           *view.triggers, rules.get(), auth);
 }
 
 StatusOr<std::optional<Document>> FirestoreService::Get(
     const std::string& database_id, const ResourcePath& name,
-    Timestamp read_ts) {
+    Timestamp read_ts, const rules::AuthContext* auth) {
   FS_SPAN("service.get");
   ScopedTimer timer(FS_METRIC_TIMER("service.get.latency"), clock_);
   FS_METRIC_COUNTER("service.gets").Increment();
   RETURN_IF_ERROR(FS_FAULT_POINT("service.get"));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return reader_.GetDocument(database_id, name, read_ts);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  ASSIGN_OR_RETURN(std::shared_ptr<const rules::RuleSet> rules,
+                   RulesFor(auth, std::move(view.rules)));
+  return reader_.GetDocument(database_id, name, read_ts, rules.get(), auth);
 }
 
 StatusOr<backend::RunQueryResult> FirestoreService::RunQuery(
     const std::string& database_id, const query::Query& q,
-    Timestamp read_ts) {
+    Timestamp read_ts, const rules::AuthContext* auth) {
   FS_SPAN("service.query");
   ScopedTimer timer(FS_METRIC_TIMER("service.query.latency"), clock_);
   FS_METRIC_COUNTER("service.queries").Increment();
   RETURN_IF_ERROR(FS_FAULT_POINT("service.query"));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return reader_.RunQuery(database_id, tenant->catalog, q, read_ts);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  ASSIGN_OR_RETURN(std::shared_ptr<const rules::RuleSet> rules,
+                   RulesFor(auth, std::move(view.rules)));
+  return reader_.RunQuery(database_id, view.tenant->catalog, q, read_ts,
+                          rules.get(), auth);
 }
 
 StatusOr<backend::RunCountResult> FirestoreService::RunCountQuery(
     const std::string& database_id, const query::Query& q,
     Timestamp read_ts) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return reader_.RunCountQuery(database_id, tenant->catalog, q, read_ts);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  return reader_.RunCountQuery(database_id, view.tenant->catalog, q,
+                               read_ts);
 }
 
 StatusOr<backend::RunAggregateResult> FirestoreService::RunSumQuery(
     const std::string& database_id, const query::Query& q,
     const model::FieldPath& field, Timestamp read_ts) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return reader_.RunSumQuery(database_id, tenant->catalog, q, field,
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  return reader_.RunSumQuery(database_id, view.tenant->catalog, q, field,
                              read_ts);
 }
 
@@ -244,55 +258,10 @@ StatusOr<CommitResponse> FirestoreService::RunTransaction(
   FS_SPAN("service.run_transaction");
   FS_METRIC_COUNTER("service.transactions").Increment();
   RETURN_IF_ERROR(FS_FAULT_POINT("service.run_transaction"));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  return committer_.RunTransaction(database_id, tenant->catalog, body,
-                                   tenant->triggers);
-}
-
-StatusOr<CommitResponse> FirestoreService::CommitAsUser(
-    const std::string& database_id, const rules::AuthContext& auth,
-    const std::vector<Mutation>& mutations) {
-  FS_SPAN("service.commit_as_user");
-  RETURN_IF_ERROR(FS_FAULT_POINT("service.commit_as_user"));
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  if (tenant->rules == nullptr) {
-    return PermissionDeniedError(
-        "third-party access requires security rules");
-  }
-  return committer_.Commit(database_id, tenant->catalog, mutations,
-                           tenant->triggers, tenant->rules.get(), &auth);
-}
-
-StatusOr<std::optional<Document>> FirestoreService::GetAsUser(
-    const std::string& database_id, const rules::AuthContext& auth,
-    const ResourcePath& name) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  if (tenant->rules == nullptr) {
-    return PermissionDeniedError(
-        "third-party access requires security rules");
-  }
-  return reader_.GetDocument(database_id, name, 0, tenant->rules.get(),
-                             &auth);
-}
-
-StatusOr<backend::RunQueryResult> FirestoreService::RunQueryAsUser(
-    const std::string& database_id, const rules::AuthContext& auth,
-    const query::Query& q) {
-  ASSIGN_OR_RETURN(std::shared_ptr<Tenant> tenant,
-                   GetTenant(database_id));
-  tenant->requests->Increment();
-  if (tenant->rules == nullptr) {
-    return PermissionDeniedError(
-        "third-party access requires security rules");
-  }
-  return reader_.RunQuery(database_id, tenant->catalog, q, 0,
-                          tenant->rules.get(), &auth);
+  ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
+  view.tenant->requests->Increment();
+  return committer_.RunTransaction(database_id, view.tenant->catalog, body,
+                                   *view.triggers);
 }
 
 index::IndexCatalog* FirestoreService::catalog(

@@ -32,8 +32,8 @@
 namespace firestore::service {
 
 struct DatabaseOptions {
-  // Security rules enforced for third-party (end-user) requests; empty =>
-  // deny all third-party access until SetRules is called.
+  // Security rules enforced for end-user requests; empty => deny every
+  // end-user request until SetRules is called.
   std::string rules_source;
 };
 
@@ -79,17 +79,27 @@ class FirestoreService {
                          const std::string& function_name,
                          const std::vector<std::string>& pattern);
 
-  // -- Data plane: privileged (Server SDK) --
+  // -- Data plane --
+  //
+  // One entry point per request, for both kinds of caller (paper §III-D,
+  // §III-E). A null `auth` is a privileged Server SDK caller: security
+  // rules are bypassed. Otherwise the request runs as that end user
+  // (Mobile/Web SDK), checked against the database's security rules, and a
+  // database with no rules denies it with PERMISSION_DENIED. The count,
+  // aggregate and transaction calls are privileged only.
 
   StatusOr<backend::CommitResponse> Commit(
       const std::string& database_id,
-      const std::vector<backend::Mutation>& mutations);
+      const std::vector<backend::Mutation>& mutations,
+      const rules::AuthContext* auth = nullptr);
   StatusOr<std::optional<model::Document>> Get(
       const std::string& database_id, const model::ResourcePath& name,
-      spanner::Timestamp read_ts = 0);
-  StatusOr<backend::RunQueryResult> RunQuery(const std::string& database_id,
-                                             const query::Query& q,
-                                             spanner::Timestamp read_ts = 0);
+      spanner::Timestamp read_ts = 0,
+      const rules::AuthContext* auth = nullptr);
+  StatusOr<backend::RunQueryResult> RunQuery(
+      const std::string& database_id, const query::Query& q,
+      spanner::Timestamp read_ts = 0,
+      const rules::AuthContext* auth = nullptr);
   StatusOr<backend::RunCountResult> RunCountQuery(
       const std::string& database_id, const query::Query& q,
       spanner::Timestamp read_ts = 0);
@@ -99,18 +109,6 @@ class FirestoreService {
   StatusOr<backend::CommitResponse> RunTransaction(
       const std::string& database_id,
       const backend::Committer::TransactionBody& body);
-
-  // -- Data plane: third-party (Mobile/Web SDK; rules enforced) --
-
-  StatusOr<backend::CommitResponse> CommitAsUser(
-      const std::string& database_id, const rules::AuthContext& auth,
-      const std::vector<backend::Mutation>& mutations);
-  StatusOr<std::optional<model::Document>> GetAsUser(
-      const std::string& database_id, const rules::AuthContext& auth,
-      const model::ResourcePath& name);
-  StatusOr<backend::RunQueryResult> RunQueryAsUser(
-      const std::string& database_id, const rules::AuthContext& auth,
-      const query::Query& q);
 
   // -- Real-time --
   frontend::Frontend& frontend() { return *frontend_; }
@@ -144,14 +142,24 @@ class FirestoreService {
     // naming an unknown database never mints a label.
     Counter* requests = nullptr;
     index::IndexCatalog catalog;
-    std::unique_ptr<rules::RuleSet> rules;
-    std::vector<backend::TriggerDefinition> triggers;
+    // Read and replaced only under FirestoreService::mu_. SetRules and
+    // RegisterTrigger replace them whole, so a request that copied them out
+    // keeps what it read alive to its end.
+    std::shared_ptr<const rules::RuleSet> rules;  // null => deny end users
+    std::shared_ptr<const std::vector<backend::TriggerDefinition>> triggers =
+        std::make_shared<const std::vector<backend::TriggerDefinition>>();
   };
 
-  // Shared ownership keeps a tenant alive for the duration of a data-plane
-  // call even if DeleteDatabase races it (the routing entry disappears
-  // immediately; in-flight requests finish against the doomed tenant).
-  StatusOr<std::shared_ptr<Tenant>> GetTenant(const std::string& database_id);
+  // A tenant as one request sees it, copied out under mu_. Shared ownership
+  // keeps the tenant alive for the duration of a data-plane call even if
+  // DeleteDatabase races it (the routing entry disappears immediately;
+  // in-flight requests finish against the doomed tenant).
+  struct TenantView {
+    std::shared_ptr<Tenant> tenant;
+    std::shared_ptr<const rules::RuleSet> rules;
+    std::shared_ptr<const std::vector<backend::TriggerDefinition>> triggers;
+  };
+  StatusOr<TenantView> GetTenant(const std::string& database_id);
 
   const Clock* const clock_;
   const Options options_;

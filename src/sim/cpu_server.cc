@@ -62,7 +62,6 @@ void CpuServer::TryDispatch() {
     Job job;
     if (!PopNext(&job)) return;
     --idle_workers_;
-    busy_micros_ += job.cost;
     sim_->After(job.cost, [this, done = std::move(job.done)]() mutable {
       ++idle_workers_;
       ++completed_;
@@ -80,13 +79,6 @@ void CpuServer::SetWorkers(int workers) {
   // Note: shrinking can drive idle_workers_ negative; in-flight jobs finish
   // and the pool converges to the new size.
   if (delta > 0) TryDispatch();
-}
-
-double CpuServer::utilization(Micros window_start) const {
-  Micros elapsed = sim_->now() - window_start;
-  if (elapsed <= 0) return 0;
-  return static_cast<double>(busy_micros_) /
-         static_cast<double>(elapsed * options_.workers);
 }
 
 }  // namespace firestore::sim

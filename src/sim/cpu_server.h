@@ -51,7 +51,6 @@ class CpuServer {
   size_t queue_depth() const { return queued_; }
   int64_t completed() const { return completed_; }
   int64_t shed() const { return shed_; }
-  double utilization(Micros window_start) const;
 
  private:
   struct Job {
@@ -77,7 +76,6 @@ class CpuServer {
   std::string batch_rr_cursor_;
   int64_t completed_ = 0;
   int64_t shed_ = 0;
-  Micros busy_micros_ = 0;
 };
 
 }  // namespace firestore::sim

@@ -360,7 +360,7 @@ void RunChaos(uint64_t seed) {
       for (int i = 0; i < kOpsPerSetWriter; ++i) {
         std::string path = KeyPath(static_cast<int>(rng.Uniform(0, kKeys - 1)));
         int64_t value = next_value.fetch_add(1);
-        RetryState retry(policy, &clock, seed ^ rng.Uniform(1, 1 << 30));
+        RetryState retry(policy, seed ^ rng.Uniform(1, 1 << 30));
         while (true) {
           auto result = service.Commit(
               kDb, {Mutation::Set(Path(path), {{"v", Value::Integer(value)}})});

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "client/client.h"
+#include "common/fault_injection.h"
+#include "common/retry.h"
 #include "service/service.h"
 #include "tests/test_support.h"
 
@@ -77,6 +79,69 @@ TEST_F(ClientTest, WriteIsAcknowledgedLocallyThenFlushed) {
   ASSERT_TRUE(server.ok());
   EXPECT_TRUE(server->has_value());
   EXPECT_EQ(client_->writes_flushed(), 1);
+}
+
+TEST_F(ClientTest, FlushBacksOffRetriesAndDropsRejectedWrites) {
+  auto flush_hits = [] {
+    return FaultRegistry::Global().StatsFor("client.flush").hits;
+  };
+  auto on_server = [&](const char* path) {
+    auto doc = service_.Get(kDb, Path(path));
+    return doc.ok() && doc->has_value();
+  };
+  auto fail_once = [](Status status) {
+    FaultConfig config;
+    config.action = FaultAction::Fail(std::move(status));
+    config.max_fires = 1;
+    return config;
+  };
+  {
+    // Transient: the write stays queued. With no backoff history the first
+    // delay is exactly the default policy's initial_backoff, 10 ms.
+    ScopedFault fault("client.flush", fail_once(UnavailableError("down")));
+    ASSERT_TRUE(client_->Set(Path("/notes/a"), {{"v", Value::Integer(1)}})
+                    .ok());
+    client_->Pump();
+    EXPECT_EQ(flush_hits(), 1);
+    EXPECT_TRUE(client_->local_store().HasPending());
+    clock_.AdvanceBy(5'000);
+    client_->Pump();
+    EXPECT_EQ(flush_hits(), 1);  // still backing off: no second attempt
+    clock_.AdvanceBy(5'000);
+    client_->Pump();
+    EXPECT_EQ(flush_hits(), 2);
+    EXPECT_FALSE(client_->local_store().HasPending());
+    EXPECT_TRUE(on_server("/notes/a"));
+  }
+  {
+    // A server retry-after hint lengthens the backoff to 50 ms.
+    ScopedFault fault("client.flush",
+                      fail_once(WithRetryAfter(
+                          ResourceExhaustedError("over limit"), 50'000)));
+    ASSERT_TRUE(client_->Set(Path("/notes/b"), {{"v", Value::Integer(1)}})
+                    .ok());
+    client_->Pump();
+    clock_.AdvanceBy(10'000);
+    client_->Pump();
+    EXPECT_EQ(flush_hits(), 1);
+    EXPECT_TRUE(client_->local_store().HasPending());
+    clock_.AdvanceBy(40'000);
+    client_->Pump();
+    EXPECT_FALSE(client_->local_store().HasPending());
+    EXPECT_TRUE(on_server("/notes/b"));
+  }
+  {
+    // Permanent rejection: the write is dropped, not retried.
+    ScopedFault fault("client.flush",
+                      fail_once(PermissionDeniedError("denied")));
+    ASSERT_TRUE(client_->Set(Path("/notes/c"), {{"v", Value::Integer(1)}})
+                    .ok());
+    client_->Pump();
+    EXPECT_FALSE(client_->local_store().HasPending());
+    EXPECT_EQ(client_->write_errors(), 1);
+    EXPECT_FALSE(on_server("/notes/c"));
+  }
+  EXPECT_EQ(client_->writes_flushed(), 2);
 }
 
 TEST_F(ClientTest, GetFallsThroughToServerAndCaches) {

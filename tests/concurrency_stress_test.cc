@@ -417,5 +417,82 @@ TEST(ServiceStressTest, PumpKeepsTickingUnderAClosedLoopWriter) {
   EXPECT_GT(delivered.load(), 20 * kListeners);
 }
 
+// SetRules and RegisterTrigger replace a tenant's rules and triggers while
+// end-user requests evaluate them and a third-party listener's re-runs
+// resolve them. Run under TSan: a request must never read a rule set or a
+// trigger list that the admin plane frees or reallocates.
+TEST(ServiceStressTest, AdminChangesRaceRequests) {
+  ManualClock clock(1'000'000'000);
+  service::FirestoreService service(&clock);
+  constexpr char kDb[] = "projects/p/databases/d";
+  constexpr char kRules[] = R"(
+    match /c/{id} {
+      allow read, write: if request.auth.uid == 'alice';
+    }
+  )";
+  FS_CHECK_OK(service.CreateDatabase(kDb, {kRules}));
+  rules::AuthContext alice;
+  alice.authenticated = true;
+  alice.uid = "alice";
+
+  // A limit query never takes deltas: every write to the collection makes
+  // Pump re-run it, through the tenant resolver and the rules.
+  std::atomic<int> snapshots{0};
+  std::atomic<int> listen_errors{0};
+  auto conn = service.frontend().OpenConnection(kDb, alice);
+  auto target = service.frontend().Listen(
+      conn, Query(model::ResourcePath(), "c").Limit(5),
+      [&](const frontend::QuerySnapshot& s) {
+        if (!s.error.ok()) listen_errors.fetch_add(1);
+        snapshots.fetch_add(1);
+      });
+  ASSERT_TRUE(target.ok()) << target.status();
+
+  constexpr int kAdminRounds = 100;
+  constexpr int kUserOps = 200;
+  std::atomic<bool> user_started{false};
+  std::atomic<bool> done{false};
+  std::thread admin([&] {
+    while (!user_started.load()) std::this_thread::yield();
+    for (int i = 0; i < kAdminRounds; ++i) {
+      EXPECT_TRUE(service.SetRules(kDb, kRules).ok());
+      // Matches no write: the committer only walks the list.
+      EXPECT_TRUE(service
+                      .RegisterTrigger(kDb, "fn" + std::to_string(i),
+                                       {"other", "{id}"})
+                      .ok());
+      std::this_thread::yield();
+    }
+  });
+  std::thread user([&] {
+    for (int i = 0; i < kUserOps; ++i) {
+      user_started.store(true);
+      const std::string path = "/c/d" + std::to_string(i % 10);
+      auto put = service.Commit(
+          kDb, {Mutation::Set(Path(path), {{"v", Value::Integer(i)}})},
+          &alice);
+      EXPECT_TRUE(put.ok()) << put.status();
+      auto got = service.Get(kDb, Path(path), 0, &alice);
+      EXPECT_TRUE(got.ok()) << got.status();
+    }
+    done.store(true);
+  });
+  int pumps = 0;
+  while (!done.load()) {
+    clock.AdvanceBy(1'000);
+    service.Pump();
+    ++pumps;
+    std::this_thread::yield();
+  }
+  admin.join();
+  user.join();
+  service.Pump();
+  EXPECT_TRUE(service.frontend().StopListen(conn, *target).ok());
+  service.frontend().CloseConnection(conn);
+  EXPECT_GT(pumps, 0);
+  EXPECT_GT(snapshots.load(), 1);
+  EXPECT_EQ(listen_errors.load(), 0);
+}
+
 }  // namespace
 }  // namespace firestore

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "common/clock.h"
 #include "common/random.h"
 #include "common/status.h"
 
@@ -67,27 +66,10 @@ TEST(BackoffTest, DeterministicPerSeed) {
   EXPECT_NE(schedule(1), schedule(2));
 }
 
-TEST(BackoffTest, PlainExponentialWithoutJitter) {
-  RetryPolicy policy;
-  policy.initial_backoff = 1'000;
-  policy.max_backoff = 10'000;
-  policy.multiplier = 2.0;
-  policy.decorrelated_jitter = false;
-  Rng rng(1);
-  Micros prev = 0;
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 1'000);
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 2'000);
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 4'000);
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 8'000);
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 10'000);  // capped
-  EXPECT_EQ(NextBackoff(policy, rng, &prev), 10'000);
-}
-
 TEST(RetryStateTest, StopsAtMaxAttempts) {
-  ManualClock clock(0);
   RetryPolicy policy;
   policy.max_attempts = 3;
-  RetryState state(policy, &clock, 1);
+  RetryState state(policy, 1);
   EXPECT_TRUE(state.ShouldRetry(UnavailableError("x")));
   EXPECT_TRUE(state.ShouldRetry(UnavailableError("x")));
   EXPECT_FALSE(state.ShouldRetry(UnavailableError("x")));  // 3rd attempt used
@@ -97,74 +79,21 @@ TEST(RetryStateTest, StopsAtMaxAttempts) {
 }
 
 TEST(RetryStateTest, NonRetryableDoesNotConsumeBudget) {
-  ManualClock clock(0);
-  RetryState state(RetryPolicy(), &clock, 1);
+  RetryState state(RetryPolicy(), 1);
   EXPECT_FALSE(state.ShouldRetry(NotFoundError("x")));
   EXPECT_FALSE(state.ShouldRetry(Status::Ok()));
 }
 
 TEST(RetryStateTest, HonorsRetryAfterHintAsLowerBound) {
-  ManualClock clock(0);
   RetryPolicy policy;
   policy.initial_backoff = 10;
   policy.max_backoff = 100;
-  RetryState state(policy, &clock, 1);
+  RetryState state(policy, 1);
   Micros delay = 0;
   Status hinted =
       WithRetryAfter(ResourceExhaustedError("over limit"), 5'000'000);
   EXPECT_TRUE(state.ShouldRetry(hinted, &delay));
   EXPECT_GE(delay, 5'000'000);
-}
-
-TEST(RetryStateTest, RespectsAbsoluteDeadline) {
-  ManualClock clock(1'000'000);
-  RetryPolicy policy;
-  policy.max_attempts = 100;
-  policy.initial_backoff = 10'000;
-  policy.deadline = 1'005'000;  // only ~5ms of budget left
-  RetryState state(policy, &clock, 1);
-  // Any computed delay (>= 10ms) lands past the deadline.
-  EXPECT_FALSE(state.ShouldRetry(UnavailableError("x")));
-}
-
-TEST(RetryLoopTest, RetriesUntilSuccess) {
-  ManualClock clock(0);
-  int calls = 0;
-  Status result = RetryLoop(RetryPolicy(), &clock, 1, [&calls]() {
-    ++calls;
-    return calls < 3 ? UnavailableError("flaky") : Status::Ok();
-  });
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryLoopTest, ReturnsLastErrorAfterBudget) {
-  ManualClock clock(0);
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  int calls = 0;
-  std::vector<Micros> slept;
-  Status result = RetryLoop(
-      policy, &clock, 1,
-      [&calls]() {
-        ++calls;
-        return UnavailableError("always");
-      },
-      [&slept](Micros d) { slept.push_back(d); });
-  EXPECT_EQ(result.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(slept.size(), 3u);  // no sleep after the final attempt
-}
-
-TEST(RetryLoopTest, DoesNotRetryPermanentErrors) {
-  ManualClock clock(0);
-  int calls = 0;
-  Status result = RetryLoop(RetryPolicy(), &clock, 1, [&calls]() {
-    ++calls;
-    return PermissionDeniedError("no");
-  });
-  EXPECT_EQ(result.code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

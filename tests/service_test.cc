@@ -8,6 +8,7 @@
 #include "backend/validation.h"
 #include "client/local_store.h"
 #include "common/checksum.h"
+#include "common/fault_injection.h"
 #include "common/random.h"
 #include "service/global_router.h"
 #include "service/service.h"
@@ -470,19 +471,33 @@ TEST_F(ServiceTest, EveryDataPlaneRequestCountsOncePerTenant) {
   alice.authenticated = true;
   alice.uid = "alice";
   const Query q(model::ResourcePath(), "r");
-  const std::vector<std::pair<std::string, std::function<bool()>>> calls = {
+  // Each data-plane call, with the service counter and latency timer its
+  // request kind records ("" where it has none). The end-user forms go
+  // through the same entry points, so they record the same instruments.
+  struct Call {
+    std::string name;
+    std::function<bool()> run;
+    std::string counter;
+    std::string timer;
+  };
+  const std::vector<Call> calls = {
       {"Commit",
        [&] {
          return service_
              .Commit(kDb, {Mutation::Set(Path("/r/doc"),
                                          {{"n", Value::Integer(2)}})})
              .ok();
-       }},
-      {"Get", [&] { return service_.Get(kDb, Path("/r/doc")).ok(); }},
-      {"RunQuery", [&] { return service_.RunQuery(kDb, q).ok(); }},
-      {"RunCountQuery", [&] { return service_.RunCountQuery(kDb, q).ok(); }},
+       },
+       "service.commits", "service.commit.latency"},
+      {"Get", [&] { return service_.Get(kDb, Path("/r/doc")).ok(); },
+       "service.gets", "service.get.latency"},
+      {"RunQuery", [&] { return service_.RunQuery(kDb, q).ok(); },
+       "service.queries", "service.query.latency"},
+      {"RunCountQuery", [&] { return service_.RunCountQuery(kDb, q).ok(); },
+       "", ""},
       {"RunSumQuery",
-       [&] { return service_.RunSumQuery(kDb, q, Field("n")).ok(); }},
+       [&] { return service_.RunSumQuery(kDb, q, Field("n")).ok(); }, "",
+       ""},
       {"RunTransaction",
        [&] {
          return service_
@@ -494,28 +509,50 @@ TEST_F(ServiceTest, EveryDataPlaneRequestCountsOncePerTenant) {
                                    {{"n", Value::Integer(4)}})};
                              })
              .ok();
-       }},
-      {"CommitAsUser",
+       },
+       "service.transactions", ""},
+      {"end-user Commit",
        [&] {
          return service_
-             .CommitAsUser(kDb, alice,
-                           {Mutation::Set(Path("/r/doc"),
-                                          {{"n", Value::Integer(3)}})})
+             .Commit(kDb,
+                     {Mutation::Set(Path("/r/doc"),
+                                    {{"n", Value::Integer(3)}})},
+                     &alice)
              .ok();
-       }},
-      {"GetAsUser",
-       [&] { return service_.GetAsUser(kDb, alice, Path("/r/doc")).ok(); }},
-      {"RunQueryAsUser",
-       [&] { return service_.RunQueryAsUser(kDb, alice, q).ok(); }},
+       },
+       "service.commits", "service.commit.latency"},
+      {"end-user Get",
+       [&] { return service_.Get(kDb, Path("/r/doc"), 0, &alice).ok(); },
+       "service.gets", "service.get.latency"},
+      {"end-user RunQuery",
+       [&] { return service_.RunQuery(kDb, q, 0, &alice).ok(); },
+       "service.queries", "service.query.latency"},
   };
-  for (const auto& [name, call] : calls) {
-    const int64_t before =
+  auto timer_count = [](const std::string& name) {
+    return name.empty() ? 0 : MetricRegistry::Global().GetTimer(name).count();
+  };
+  for (const Call& call : calls) {
+    const int64_t requests =
         testing::CounterValue("service.tenant.requests", kDb);
-    ASSERT_TRUE(call()) << name;
-    EXPECT_EQ(testing::CounterValue("service.tenant.requests", kDb) - before,
-              1)
-        << name;
+    const int64_t counted =
+        call.counter.empty() ? 0 : testing::CounterValue(call.counter);
+    const int64_t timed = timer_count(call.timer);
+    ASSERT_TRUE(call.run()) << call.name;
+    EXPECT_EQ(
+        testing::CounterValue("service.tenant.requests", kDb) - requests, 1)
+        << call.name;
+    if (!call.counter.empty()) {
+      EXPECT_EQ(testing::CounterValue(call.counter) - counted, 1)
+          << call.name;
+    }
+    if (!call.timer.empty()) {
+      EXPECT_EQ(timer_count(call.timer) - timed, 1) << call.name;
+    }
   }
+  // A request kind's fault point fails its end-user form too.
+  ScopedFault fault("service.get");
+  EXPECT_EQ(service_.Get(kDb, Path("/r/doc"), 0, &alice).status().code(),
+            StatusCode::kUnavailable);
 }
 
 // ---------------------------------------------------------------------------

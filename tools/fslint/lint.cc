@@ -676,8 +676,6 @@ std::vector<StringLiteral> ExtractMetricNames(const SourceFile& file) {
         EndsWith(prefix, "FS_METRIC_GAUGE") ||
         EndsWith(prefix, "FS_METRIC_TIMER") ||
         EndsWith(prefix, "FS_METRIC_COUNTER_FOR") ||
-        EndsWith(prefix, "FS_METRIC_GAUGE_FOR") ||
-        EndsWith(prefix, "FS_METRIC_TIMER_FOR") ||
         EndsWith(prefix, "FS_SPAN")) {
       out.push_back(lit);
     }
