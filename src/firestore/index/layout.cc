@@ -57,7 +57,8 @@ bool IndexEntrySuffix(std::string_view key, std::string_view prefix,
 
 bool ParseIndexEntryName(std::string_view values_and_name,
                          const std::vector<bool>& value_descending,
-                         model::ResourcePath* name) {
+                         model::ResourcePath* name,
+                         std::string_view* name_bytes) {
   std::string_view rest = values_and_name;
   for (bool descending : value_descending) {
     model::Value ignored;
@@ -65,7 +66,10 @@ bool ParseIndexEntryName(std::string_view values_and_name,
                          : codec::ParseValueAsc(&rest, &ignored);
     if (!ok) return false;
   }
-  return codec::ParseResourcePath(&rest, name);
+  const std::string_view encoded = rest;
+  if (!codec::ParseResourcePath(&rest, name)) return false;
+  *name_bytes = encoded.substr(0, encoded.size() - rest.size());
+  return true;
 }
 
 }  // namespace firestore::index

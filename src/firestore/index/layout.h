@@ -58,10 +58,14 @@ bool IndexEntrySuffix(std::string_view key, std::string_view prefix,
 
 // Extracts the document name (the trailing component) from an index entry
 // key, given how many value components precede it and their directions.
-// Returns false on malformed input.
+// `name_bytes` receives the name's encoding, a view into `values_and_name`:
+// EntityKey ends in the same bytes, so the document's Entities key is
+// EntityKeyPrefixForDatabase plus `name_bytes`. Returns false on malformed
+// input.
 bool ParseIndexEntryName(std::string_view values_and_name,
                          const std::vector<bool>& value_descending,
-                         model::ResourcePath* name);
+                         model::ResourcePath* name,
+                         std::string_view* name_bytes);
 
 }  // namespace firestore::index
 

@@ -61,21 +61,29 @@ bool InCollection(const ResourcePath& name, const ResourcePath& collection) {
 // Accumulates verified documents while honoring offset/limit.
 class ResultCollector {
  public:
-  ResultCollector(const Query& query, QueryResult* out)
-      : query_(query), out_(out), to_skip_(query.offset()) {}
+  ResultCollector(const Query& query, std::string_view database_id,
+                  QueryResult* out)
+      : query_(query),
+        out_(out),
+        to_skip_(query.offset()),
+        entity_key_(index::EntityKeyPrefixForDatabase(database_id)),
+        prefix_len_(entity_key_.size()) {}
 
-  // Candidate document name produced by the plan; fetches + verifies it.
-  // Returns whether more results are wanted (false once the limit is met).
-  StatusOr<bool> Add(RowReader& reader, std::string_view database_id,
-                     const ResourcePath& name) {
+  // Candidate document produced by the plan, named by the encoded name
+  // bytes of its key; fetches + verifies it. Returns whether more results
+  // are wanted (false once the limit is met).
+  StatusOr<bool> Add(RowReader& reader, std::string_view name_bytes) {
     // Every plan shape reads the document here, a collection scan too,
     // although its Entities row already carried it: inside a transaction
     // this is the read taken under the row's shared lock, whereas
-    // RowReader::Scan reads rows before it locks them.
+    // RowReader::Scan reads rows before it locks them. The key is the
+    // database prefix plus the candidate key's name bytes (EntityKey ends
+    // in the same encoding), so no name is re-encoded.
+    entity_key_.resize(prefix_len_);
+    entity_key_.append(name_bytes);
     spanner::Timestamp version = 0;
     ASSIGN_OR_RETURN(spanner::RowValue row,
-                     reader.Read(index::kEntitiesTable,
-                                 index::EntityKey(database_id, name),
+                     reader.Read(index::kEntitiesTable, entity_key_,
                                  &version));
     ++out_->stats.entities_fetched;
     ASSIGN_OR_RETURN(std::optional<Document> doc,
@@ -96,12 +104,17 @@ class ResultCollector {
   const Query& query_;
   QueryResult* out_;
   int64_t to_skip_;
+  std::string entity_key_;  // the database prefix, then the current name
+  const size_t prefix_len_;
 };
 
-// Forward cursor over one plan scan's rows, read from storage in pages of
-// kScanBatch. A seek inside the current page is a lower_bound; only a seek
-// past the page, or a Next off its end, reads storage. A short page is the
-// range's last (RowReader::Scan fills a page while rows remain).
+// Forward cursor over one plan scan's rows, read from storage in pages. The
+// first page holds `first_page` rows and each later one twice its
+// predecessor, up to kScanBatch, so a walk that stops early has copied
+// little more than it used. A seek inside the current page is a
+// lower_bound; only a seek past the page, or a Next off its end, reads
+// storage. A page shorter than requested is the range's last
+// (RowReader::Scan fills a page while rows remain).
 //
 // Stats: a single scan counts each row it lands on and makes no seeks; a
 // join counts one seek and one scanned row per positioning call, found or
@@ -109,8 +122,12 @@ class ResultCollector {
 class ScanCursor {
  public:
   ScanCursor(RowReader& reader, const IndexScan& scan, bool join,
-             QueryStats* stats)
-      : reader_(reader), scan_(scan), join_(join), stats_(stats) {}
+             int64_t first_page, QueryStats* stats)
+      : reader_(reader),
+        scan_(scan),
+        join_(join),
+        page_rows_(first_page),
+        stats_(stats) {}
 
   // Positions at the first row with key >= `key` in the scan's range.
   // Returns false when exhausted (or propagates an error via status()).
@@ -147,14 +164,15 @@ class ScanCursor {
   bool Fill(const std::string& start) {
     if (last_page_) return Land(false);
     auto rows = reader_.Scan(scan_.table, std::max(start, scan_.start_key),
-                             scan_.limit_key, kScanBatch);
+                             scan_.limit_key, page_rows_);
     if (!rows.ok()) {
       status_ = rows.status();
       return false;
     }
     page_ = std::move(*rows);
     pos_ = 0;
-    last_page_ = static_cast<int64_t>(page_.size()) < kScanBatch;
+    last_page_ = static_cast<int64_t>(page_.size()) < page_rows_;
+    page_rows_ = std::min(2 * page_rows_, kScanBatch);
     return Land(!page_.empty());
   }
 
@@ -171,6 +189,7 @@ class ScanCursor {
   RowReader& reader_;
   const IndexScan& scan_;
   const bool join_;
+  int64_t page_rows_;  // size of the next page to read
   QueryStats* stats_;
   std::vector<spanner::ScanRow> page_;
   size_t pos_ = 0;
@@ -180,28 +199,35 @@ class ScanCursor {
 
 // Runs `plan`, a join of N >= 1 ranges (paper §IV-D3), and feeds `visit`, in
 // plan order, the (order values..., name) suffix of every candidate row
-// together with the document name parsed off it. `visit(suffix, name)`
-// returns StatusOr<bool>; false stops the walk. Candidates are not yet
-// scoped to the query's collection: index entries span the collection
-// group, and an Entities range also holds subcollection documents.
+// together with the document name parsed off it and that name's encoded
+// bytes. `visit(suffix, name, name_bytes)` returns StatusOr<bool>; false
+// stops the walk. The views point into a cursor's page and are valid only
+// during the call. Candidates are not yet scoped to the query's collection:
+// index entries span the collection group, and an Entities range also holds
+// subcollection documents.
 //
 // One leapfrog loop serves every plan: it seeks each lagging cursor to the
 // largest current suffix, visits when all cursors agree, then advances them
-// all. A single scan is the degenerate join that always agrees.
+// all. A single scan is the degenerate join that always agrees. Its first
+// page holds `single_scan_page` rows; a join's cursors walk their posting
+// lists whatever the caller's limit, so they read full pages.
 template <typename Visit>
-Status WalkPlan(RowReader& reader, const QueryPlan& plan, QueryStats* stats,
-                Visit&& visit) {
+Status WalkPlan(RowReader& reader, const QueryPlan& plan,
+                int64_t single_scan_page, QueryStats* stats, Visit&& visit) {
   FS_CHECK(!plan.scans.empty());
   const bool join = plan.scans.size() > 1;
+  const int64_t first_page = join ? kScanBatch : single_scan_page;
   std::vector<ScanCursor> cursors;
   cursors.reserve(plan.scans.size());
   for (const IndexScan& scan : plan.scans) {
-    ScanCursor& cursor = cursors.emplace_back(reader, scan, join, stats);
+    ScanCursor& cursor =
+        cursors.emplace_back(reader, scan, join, first_page, stats);
     if (!cursor.SeekGE(scan.start_key)) {
       return cursor.status();  // OK status == some scan is simply empty
     }
   }
   ResourcePath name;
+  std::string_view name_bytes;
   while (true) {
     std::string_view max_suffix = cursors[0].suffix();
     bool all_equal = true;
@@ -219,10 +245,10 @@ Status WalkPlan(RowReader& reader, const QueryPlan& plan, QueryStats* stats,
       continue;
     }
     if (!index::ParseIndexEntryName(max_suffix, plan.suffix_directions,
-                                    &name)) {
+                                    &name, &name_bytes)) {
       return InternalError("corrupt " + plan.scans[0].table + " key");
     }
-    ASSIGN_OR_RETURN(bool more, visit(max_suffix, name));
+    ASSIGN_OR_RETURN(bool more, visit(max_suffix, name, name_bytes));
     if (!more) return Status::Ok();
     for (ScanCursor& c : cursors) {
       if (!c.Next()) return c.status();
@@ -237,14 +263,20 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
                                    const Query& query, const QueryPlan& plan,
                                    ExecOptions options) {
   QueryResult result;
-  ResultCollector collector(query, &result);
+  ResultCollector collector(query, database_id, &result);
   const ResourcePath collection = query.CollectionPath();
+  // Under a limit, the first page holds every row the limit and offset can
+  // use plus one, so a page that meets the limit ends the walk.
+  const int64_t first_page =
+      query.limit() > 0
+          ? std::min(query.limit() + query.offset() + 1, kScanBatch)
+          : kScanBatch;
   RETURN_IF_ERROR(WalkPlan(
-      reader, plan, &result.stats,
-      [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
+      reader, plan, first_page, &result.stats,
+      [&](std::string_view, const ResourcePath& name,
+          std::string_view name_bytes) -> StatusOr<bool> {
         if (InCollection(name, collection)) {
-          ASSIGN_OR_RETURN(bool more,
-                           collector.Add(reader, database_id, name));
+          ASSIGN_OR_RETURN(bool more, collector.Add(reader, name_bytes));
           if (!more) return false;
         }
         if (options.max_index_rows > 0 &&
@@ -267,8 +299,9 @@ StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
   // The name is recoverable from the key alone; no document is fetched.
   int64_t matches = 0;
   RETURN_IF_ERROR(WalkPlan(
-      reader, plan, &result.stats,
-      [&](std::string_view, const ResourcePath& name) -> StatusOr<bool> {
+      reader, plan, kScanBatch, &result.stats,
+      [&](std::string_view, const ResourcePath& name,
+          std::string_view) -> StatusOr<bool> {
         if (InCollection(name, collection)) ++matches;
         return true;
       }));
@@ -295,9 +328,9 @@ StatusOr<AggregateResult> ExecuteSumQuery(RowReader& reader,
     const bool descending = plan.suffix_directions[0];
     int64_t skipped = 0, taken = 0;
     RETURN_IF_ERROR(WalkPlan(
-        reader, plan, &agg.stats,
-        [&](std::string_view suffix,
-            const ResourcePath& name) -> StatusOr<bool> {
+        reader, plan, kScanBatch, &agg.stats,
+        [&](std::string_view suffix, const ResourcePath& name,
+            std::string_view) -> StatusOr<bool> {
           if (!InCollection(name, collection)) return true;
           if (skipped < query.offset()) {
             ++skipped;

@@ -237,6 +237,10 @@ StatusOr<backend::RunQueryResult> FirestoreService::RunQuery(
 StatusOr<backend::RunCountResult> FirestoreService::RunCountQuery(
     const std::string& database_id, const query::Query& q,
     Timestamp read_ts) {
+  FS_SPAN("service.count_query");
+  ScopedTimer timer(FS_METRIC_TIMER("service.count_query.latency"), clock_);
+  FS_METRIC_COUNTER("service.count_queries").Increment();
+  RETURN_IF_ERROR(FS_FAULT_POINT("service.count_query"));
   ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
   view.tenant->requests->Increment();
   return reader_.RunCountQuery(database_id, view.tenant->catalog, q,
@@ -246,6 +250,10 @@ StatusOr<backend::RunCountResult> FirestoreService::RunCountQuery(
 StatusOr<backend::RunAggregateResult> FirestoreService::RunSumQuery(
     const std::string& database_id, const query::Query& q,
     const model::FieldPath& field, Timestamp read_ts) {
+  FS_SPAN("service.sum_query");
+  ScopedTimer timer(FS_METRIC_TIMER("service.sum_query.latency"), clock_);
+  FS_METRIC_COUNTER("service.sum_queries").Increment();
+  RETURN_IF_ERROR(FS_FAULT_POINT("service.sum_query"));
   ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
   view.tenant->requests->Increment();
   return reader_.RunSumQuery(database_id, view.tenant->catalog, q, field,

@@ -60,8 +60,53 @@ TEST(LayoutTest, ParseIndexEntryNameRoundTrip) {
   std::string_view suffix;
   ASSERT_TRUE(IndexEntrySuffix(key, IndexKeyPrefix("db", 7), &suffix));
   model::ResourcePath name;
-  ASSERT_TRUE(ParseIndexEntryName(suffix, {false, true}, &name));
+  std::string_view name_bytes;
+  ASSERT_TRUE(ParseIndexEntryName(suffix, {false, true}, &name, &name_bytes));
   EXPECT_EQ(name.CanonicalString(), "/restaurants/one");
+}
+
+// The executor reads a candidate's Entities row at the database prefix plus
+// the name bytes of its index key; the spliced key must be the EntityKey.
+TEST(LayoutTest, IndexEntryNameBytesSpliceIntoEntityKey) {
+  const std::string prefix = EntityKeyPrefixForDatabase("db");
+  for (const char* path : {"/restaurants/one", "/restaurants/one/reviews/r2"}) {
+    SCOPED_TRACE(path);
+    IndexCatalog catalog;
+    Document doc(Path(path), {});
+    doc.SetField(Field("rating"), Value::Double(4.5));
+    doc.SetField(Field("tags"),
+                 Value::FromArray({Value::String("bbq"), Value::Integer(7)}));
+    const std::vector<std::string> keys =
+        ComputeIndexEntries(catalog, "db", doc);
+    std::set<SegmentKind> kinds;
+    int spliced = 0;
+    for (const IndexDefinition& def : catalog.AllIndexes()) {
+      std::vector<bool> descending;
+      for (const IndexSegment& segment : def.segments) {
+        descending.push_back(segment.kind == SegmentKind::kDescending);
+      }
+      for (const std::string& key : keys) {
+        std::string_view suffix;
+        if (!IndexEntrySuffix(key, IndexKeyPrefix("db", def.index_id),
+                              &suffix)) {
+          continue;
+        }
+        model::ResourcePath name;
+        std::string_view name_bytes;
+        ASSERT_TRUE(ParseIndexEntryName(suffix, descending, &name,
+                                        &name_bytes));
+        EXPECT_EQ(name.CanonicalString(), path);
+        EXPECT_EQ(prefix + std::string(name_bytes), EntityKey("db", name));
+        kinds.insert(def.segments[0].kind);
+        ++spliced;
+      }
+    }
+    // asc + desc per field, plus one array-contains entry per element.
+    EXPECT_EQ(spliced, 6);
+    EXPECT_EQ(kinds, (std::set<SegmentKind>{SegmentKind::kAscending,
+                                            SegmentKind::kDescending,
+                                            SegmentKind::kArrayContains}));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "firestore/index/backfill.h"
+#include "firestore/index/extractor.h"
 #include "firestore/query/executor.h"
 #include "firestore/query/planner.h"
 #include "firestore/query/query.h"
@@ -570,6 +571,101 @@ TEST(QueryWalkerTest, PagedScansAndJoinsKeepResultsAndStats) {
     check_stats(in_txn->stats);
     txn->Abort();
   }
+}
+
+// A single range under a limit reads a first page of limit + offset + 1
+// rows, and each later page doubles up to the full 256, so storage copies
+// about as many rows as the query can use. Read as spanner.rows.scanned,
+// the rows storage returned to scans.
+TEST(QueryWalkerTest, LimitedSingleScansFetchOnlyTheRowsTheyUse) {
+  TestTenant t;
+  std::vector<model::Document> corpus;
+  auto put = [&](const std::string& path, Map fields) {
+    t.Put(path, fields);
+    corpus.emplace_back(Path(path), std::move(fields));
+  };
+  auto id = [](int i) {
+    std::string s = std::to_string(i);
+    return "d" + std::string(3 - s.size(), '0') + s;
+  };
+  for (int i = 0; i < 320; ++i) {
+    put("/items/" + id(i),
+        {{"a", Value::String("x")}, {"b", Value::String("p")}});
+  }
+  // Collection-group candidates right after /items/d000 in b's posting
+  // list, scoped out of every result.
+  for (int i = 0; i < 60; ++i) {
+    put("/items/d000/items/" + id(i), {{"b", Value::String("p")}});
+  }
+  auto eq = [](const char* field, const char* value) {
+    Query q(model::ResourcePath(), "items");
+    q.Where(Field(field), Operator::kEqual, Value::String(value));
+    return q;
+  };
+  auto expect_result = [&](const Query& q, const QueryResult& r) {
+    std::vector<std::string> expected;
+    for (const model::Document& doc : corpus) {
+      if (q.Matches(doc)) expected.push_back(doc.name().CanonicalString());
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(expected.begin(), expected.begin() + q.offset());
+    expected.resize(q.limit());
+    std::vector<std::string> names;
+    for (const auto& doc : r.documents) {
+      names.push_back(doc.name().CanonicalString());
+    }
+    EXPECT_EQ(names, expected);
+  };
+  struct Case {
+    Query query;
+    int64_t max_rows_fetched;
+  };
+  const std::vector<Case> cases = {
+      {eq("a", "x").Limit(20), 21},
+      {eq("a", "x").Offset(10).Limit(20), 31},
+      // 20 results past 60 rejected candidates take pages of 21, 42 and 84.
+      {eq("b", "p").Limit(20), 21 + 42 + 84},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query.CanonicalString());
+    const int64_t scanned = testing::CounterValue("spanner.rows.scanned");
+    auto run = t.Run(c.query);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_LE(testing::CounterValue("spanner.rows.scanned") - scanned,
+              c.max_rows_fetched);
+    expect_result(c.query, run->result);
+  }
+
+  // Inside a transaction, buffered deletes in the first page must not
+  // shorten it: the walk still fills the limit, and locks only the rows of
+  // the one page it read plus the documents it fetched.
+  const Query limited = eq("a", "x").Limit(20);
+  const std::optional<index::IndexDefinition> a_index =
+      t.catalog().AutoIndex("items", Field("a"), SegmentKind::kAscending);
+  ASSERT_TRUE(a_index.has_value());
+  auto txn = t.spanner().BeginTransaction();
+  std::erase_if(corpus, [&](const model::Document& doc) {
+    const std::string& name = doc.name().CanonicalString();
+    if (name != "/items/d002" && name != "/items/d005" &&
+        name != "/items/d007") {
+      return false;
+    }
+    txn->Delete(index::kEntitiesTable, index::EntityKey(t.id(), doc.name()));
+    for (const std::string& key :
+         index::ComputeEntriesForIndex(*a_index, t.id(), doc)) {
+      txn->Delete(index::kIndexEntriesTable, key);
+    }
+    return true;
+  });
+  const int64_t scanned = testing::CounterValue("spanner.rows.scanned");
+  auto in_txn =
+      t.reader().RunQueryInTransaction(t.id(), t.catalog(), limited, *txn);
+  ASSERT_TRUE(in_txn.ok()) << in_txn.status();
+  expect_result(limited, *in_txn);
+  // One page of 21 rows, fetched with one more row per buffered delete.
+  EXPECT_LE(testing::CounterValue("spanner.rows.scanned") - scanned, 21 + 3);
+  EXPECT_LE(t.spanner().lock_manager().LockCount(), 21 + 20);
+  txn->Abort();
 }
 
 // ---------------------------------------------------------------------------

@@ -494,10 +494,10 @@ TEST_F(ServiceTest, EveryDataPlaneRequestCountsOncePerTenant) {
       {"RunQuery", [&] { return service_.RunQuery(kDb, q).ok(); },
        "service.queries", "service.query.latency"},
       {"RunCountQuery", [&] { return service_.RunCountQuery(kDb, q).ok(); },
-       "", ""},
+       "service.count_queries", "service.count_query.latency"},
       {"RunSumQuery",
-       [&] { return service_.RunSumQuery(kDb, q, Field("n")).ok(); }, "",
-       ""},
+       [&] { return service_.RunSumQuery(kDb, q, Field("n")).ok(); },
+       "service.sum_queries", "service.sum_query.latency"},
       {"RunTransaction",
        [&] {
          return service_
@@ -550,9 +550,24 @@ TEST_F(ServiceTest, EveryDataPlaneRequestCountsOncePerTenant) {
     }
   }
   // A request kind's fault point fails its end-user form too.
-  ScopedFault fault("service.get");
-  EXPECT_EQ(service_.Get(kDb, Path("/r/doc"), 0, &alice).status().code(),
-            StatusCode::kUnavailable);
+  {
+    ScopedFault fault("service.get");
+    EXPECT_EQ(service_.Get(kDb, Path("/r/doc"), 0, &alice).status().code(),
+              StatusCode::kUnavailable);
+  }
+  // The aggregation entry points each have their own.
+  {
+    ScopedFault fault("service.count_query");
+    EXPECT_EQ(service_.RunCountQuery(kDb, q).status().code(),
+              StatusCode::kUnavailable);
+    EXPECT_TRUE(service_.RunSumQuery(kDb, q, Field("n")).ok());
+  }
+  {
+    ScopedFault fault("service.sum_query");
+    EXPECT_EQ(service_.RunSumQuery(kDb, q, Field("n")).status().code(),
+              StatusCode::kUnavailable);
+    EXPECT_TRUE(service_.RunCountQuery(kDb, q).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------
