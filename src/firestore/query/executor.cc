@@ -256,6 +256,15 @@ Status WalkPlan(RowReader& reader, const QueryPlan& plan,
   }
 }
 
+// The first page of a single scan. Under a limit it holds every row the
+// limit and offset can use plus one, so a page that meets the limit ends the
+// walk.
+int64_t FirstPage(const Query& query) {
+  return query.limit() > 0
+             ? std::min(query.limit() + query.offset() + 1, kScanBatch)
+             : kScanBatch;
+}
+
 }  // namespace
 
 StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
@@ -265,14 +274,8 @@ StatusOr<QueryResult> ExecuteQuery(RowReader& reader,
   QueryResult result;
   ResultCollector collector(query, database_id, &result);
   const ResourcePath collection = query.CollectionPath();
-  // Under a limit, the first page holds every row the limit and offset can
-  // use plus one, so a page that meets the limit ends the walk.
-  const int64_t first_page =
-      query.limit() > 0
-          ? std::min(query.limit() + query.offset() + 1, kScanBatch)
-          : kScanBatch;
   RETURN_IF_ERROR(WalkPlan(
-      reader, plan, first_page, &result.stats,
+      reader, plan, FirstPage(query), &result.stats,
       [&](std::string_view, const ResourcePath& name,
           std::string_view name_bytes) -> StatusOr<bool> {
         if (InCollection(name, collection)) {
@@ -297,13 +300,16 @@ StatusOr<CountResult> ExecuteCountQuery(RowReader& reader,
   if (HasContradictoryEqualities(query)) return result;  // provably empty
   const ResourcePath collection = query.CollectionPath();
   // The name is recoverable from the key alone; no document is fetched.
+  // Under a limit the walk stops at the last match the limit can use.
+  const int64_t wanted =
+      query.limit() > 0 ? query.offset() + query.limit() : 0;
   int64_t matches = 0;
   RETURN_IF_ERROR(WalkPlan(
-      reader, plan, kScanBatch, &result.stats,
+      reader, plan, FirstPage(query), &result.stats,
       [&](std::string_view, const ResourcePath& name,
           std::string_view) -> StatusOr<bool> {
         if (InCollection(name, collection)) ++matches;
-        return true;
+        return wanted == 0 || matches < wanted;
       }));
   matches = std::max<int64_t>(0, matches - query.offset());
   if (query.limit() > 0) matches = std::min<int64_t>(matches, query.limit());

@@ -8,21 +8,49 @@
 
 namespace firestore::spanner {
 
+namespace {
+
+// The first of `older` (ascending by timestamp) newer than `ts`.
+auto FirstAfter(const std::vector<std::pair<Timestamp, RowValue>>& older,
+                Timestamp ts) {
+  return std::partition_point(older.begin(), older.end(),
+                              [ts](const auto& v) { return v.first <= ts; });
+}
+
+}  // namespace
+
+std::pair<Timestamp, const RowValue*> Table::Row::VersionAt(
+    Timestamp at) const {
+  if (ts <= at) return {ts, &value};
+  if (older == nullptr) return {0, nullptr};
+  auto it = FirstAfter(*older, at);
+  if (it == older->begin()) return {0, nullptr};
+  --it;
+  return {it->first, &it->second};
+}
+
 Table::Table(std::string name) : name_(std::move(name)) {
   tablets_.try_emplace(Key());
 }
 
 void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
-  auto row = rows_.try_emplace(key).first;
-  Versions& versions = row->second;
-  if (!versions.empty() || !value.has_value()) {
-    FS_CHECK(versions.empty() || ts > versions.rbegin()->first);
+  auto [row, inserted] = rows_.try_emplace(key);
+  Row& r = row->second;
+  if (!inserted || !value.has_value()) {
+    FS_CHECK(inserted || ts > r.ts);
     FS_CHECK(gc_queue_.empty() || ts >= gc_queue_.back().first);
     gc_queue_.emplace_back(ts, row);
   }
   ++TabletForKey(key)->second.writes;
   FS_METRIC_COUNTER("spanner.rows.written").Increment();
-  versions.emplace(ts, std::move(value));
+  if (!inserted) {
+    if (r.older == nullptr) {
+      r.older = std::make_unique<std::vector<std::pair<Timestamp, RowValue>>>();
+    }
+    r.older->emplace_back(r.ts, std::move(r.value));
+  }
+  r.ts = ts;
+  r.value = std::move(value);
 }
 
 RowValue Table::ReadAt(const Key& key, Timestamp ts,
@@ -32,13 +60,10 @@ RowValue Table::ReadAt(const Key& key, Timestamp ts,
   if (version != nullptr) *version = 0;
   auto row = rows_.find(key);
   if (row == rows_.end()) return std::nullopt;
-  const Versions& versions = row->second;
-  // Latest version with timestamp <= ts.
-  auto it = versions.upper_bound(ts);
-  if (it == versions.begin()) return std::nullopt;
-  --it;
-  if (version != nullptr) *version = it->first;
-  return it->second;
+  auto [found, value] = row->second.VersionAt(ts);
+  if (value == nullptr) return std::nullopt;
+  if (version != nullptr) *version = found;
+  return *value;
 }
 
 std::vector<ScanRow> Table::ScanAt(const Key& start, const Key& limit,
@@ -50,11 +75,8 @@ std::vector<ScanRow> Table::ScanAt(const Key& start, const Key& limit,
   int64_t tablet_rows = 0;
   for (auto it = rows_.lower_bound(start); it != rows_.end(); ++it) {
     if (!limit.empty() && it->first >= limit) break;
-    const Versions& versions = it->second;
-    auto vit = versions.upper_bound(ts);
-    if (vit == versions.begin()) continue;
-    --vit;
-    if (!vit->second.has_value()) continue;  // tombstone
+    auto [version, value] = it->second.VersionAt(ts);
+    if (value == nullptr || !value->has_value()) continue;  // none, tombstone
     if (next != tablets_.end() && it->first >= next->first) {
       tablet->second.reads += tablet_rows;
       tablet = TabletForKey(it->first);
@@ -62,7 +84,7 @@ std::vector<ScanRow> Table::ScanAt(const Key& start, const Key& limit,
       tablet_rows = 0;
     }
     ++tablet_rows;
-    rows.push_back({it->first, *vit->second, vit->first});
+    rows.push_back({it->first, **value, version});
     if (static_cast<int64_t>(rows.size()) == max_rows) break;
   }
   if (!rows.empty()) {
@@ -104,15 +126,22 @@ int64_t Table::GarbageCollect(Timestamp horizon) {
   while (!gc_queue_.empty() && gc_queue_.front().first <= horizon) {
     auto [ts, row] = gc_queue_.front();
     gc_queue_.pop_front();
-    Versions& versions = row->second;
-    // Keep the newest version <= horizon plus everything after horizon.
-    auto keep = versions.upper_bound(horizon);
-    if (keep != versions.begin()) --keep;
-    dropped += std::distance(versions.begin(), keep);
-    versions.erase(versions.begin(), keep);
+    Row& r = row->second;
+    if (r.older != nullptr) {
+      // Keep the newest version <= horizon plus everything after horizon.
+      auto& older = *r.older;
+      auto keep = older.cend();
+      if (r.ts > horizon) {
+        keep = FirstAfter(older, horizon);
+        if (keep != older.cbegin()) --keep;
+      }
+      dropped += keep - older.cbegin();
+      older.erase(older.cbegin(), keep);
+      if (older.empty()) r.older.reset();
+    }
     // A row whose newest write is an old tombstone goes with that write's
     // entry, its last, so no queued entry is left pointing at it.
-    if (versions.rbegin()->first == ts && !versions.rbegin()->second) {
+    if (r.ts == ts && !r.value) {
       ++dropped;
       rows_.erase(row);
     }

@@ -8,9 +8,11 @@
 // load-based splitting and 2PC participant counting, so a split only inserts
 // a start key and moves no rows. A tablet's load is what it served since the
 // last splitting pass, so a steady load settles into a fixed tiling. Rows are
-// multi-versioned: every committed write adds a (timestamp,
-// value-or-tombstone) version, enabling lock-free snapshot reads at any past
-// timestamp.
+// multi-versioned, enabling lock-free snapshot reads at any past timestamp: a
+// row keeps its newest (timestamp, value-or-tombstone) version inline, and
+// each committed write moves the version it replaces into the row's list of
+// older ones, which GC trims and frees. So a row with one version costs one
+// map node.
 //
 // Thread-compatible: the Database serializes access (commits exclusive,
 // snapshot reads shared).
@@ -22,6 +24,7 @@
 #include <deque>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -109,13 +112,26 @@ class Table {
   int ParticipantCount(const std::vector<Key>& keys) const;
 
  private:
-  using Versions = std::map<Timestamp, RowValue>;
+  struct Row {
+    // The newest version.
+    Timestamp ts = 0;
+    RowValue value;
+    // The versions it shadows, in ascending timestamp order; null while the
+    // row has one version.
+    std::unique_ptr<std::vector<std::pair<Timestamp, RowValue>>> older;
+
+    // The newest version at or before `at`, as {timestamp, value}; {0,
+    // nullptr} if every version is newer.
+    std::pair<Timestamp, const RowValue*> VersionAt(Timestamp at) const;
+  };
+  // On libstdc++ a row's map node (32 bytes of tree links, a 32-byte key and
+  // the Row) fits a 128-byte malloc chunk.
+  static_assert(sizeof(Row) <= 56);
 
   std::string name_;
-  std::map<Key, Versions> rows_;
+  std::map<Key, Row> rows_;
   // (ts, row) of each overwrite and tombstone, in timestamp order.
-  std::deque<std::pair<Timestamp, std::map<Key, Versions>::iterator>>
-      gc_queue_;
+  std::deque<std::pair<Timestamp, std::map<Key, Row>::iterator>> gc_queue_;
   Tablets tablets_;
 };
 

@@ -477,12 +477,15 @@ TEST(ServiceStressTest, AdminChangesRaceRequests) {
     }
     done.store(true);
   });
+  // Virtual time advances 1 ms per pump and no faster than real time, so
+  // one slow commit cannot outlive the committer's 2 s commit-timestamp
+  // margin (kMaxCommitMargin) and abort.
   int pumps = 0;
   while (!done.load()) {
     clock.AdvanceBy(1'000);
     service.Pump();
     ++pumps;
-    std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   admin.join();
   user.join();

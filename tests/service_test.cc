@@ -186,6 +186,19 @@ TEST_F(ServiceTest, CountQueryWithInequalityAndLimit) {
   EXPECT_EQ(service_.RunCountQuery(kDb, offset)->count, 3);
 }
 
+TEST_F(ServiceTest, CountQueryStopsAtItsLimit) {
+  for (int i = 0; i < 1000; ++i) {
+    Put("/r/doc" + std::to_string(i), {{"city", Value::String("SF")}});
+  }
+  Query q(model::ResourcePath(), "r");
+  q.Where(Field("city"), Operator::kEqual, Value::String("SF")).Limit(20);
+  auto counted = service_.RunCountQuery(kDb, q);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(counted->count, 20);
+  // The walk ends at the 20th entry of the 1000-entry posting list.
+  EXPECT_LE(counted->stats.index_rows_scanned, 21);
+}
+
 TEST_F(ServiceTest, CountQueryZigZagAndContradiction) {
   for (int i = 0; i < 30; ++i) {
     Put("/r/doc" + std::to_string(i),

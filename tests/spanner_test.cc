@@ -507,6 +507,52 @@ TEST_F(SpannerTest, GarbageCollectionCostFollowsQueuedWrites) {
   EXPECT_EQ(db_.SnapshotScan("T", "", "", now)->size(), 100u);
 }
 
+// A row keeps its newest version inline and the ones it shadows in a list
+// that GC trims; both must answer reads at every timestamp.
+TEST_F(SpannerTest, RowVersionsReadAndCollectAcrossTheInlineVersion) {
+  Table table("R");
+  table.Apply("k", "v1", 10);
+  table.Apply("k", "v2", 20);
+  table.Apply("k", "v3", 30);
+  auto expect_read = [&](Timestamp at, RowValue value, Timestamp version) {
+    Timestamp found = -1;
+    EXPECT_EQ(table.ReadAt("k", at, &found), value) << "at " << at;
+    EXPECT_EQ(found, version) << "at " << at;
+  };
+  auto expect_reads_from_20 = [&] {
+    expect_read(20, "v2", 20);
+    expect_read(25, "v2", 20);
+    expect_read(30, "v3", 30);
+    expect_read(kMaxTimestamp, "v3", 30);
+  };
+  expect_read(9, std::nullopt, 0);
+  expect_read(10, "v1", 10);
+  expect_read(15, "v1", 10);
+  expect_reads_from_20();
+
+  // v2 is the newest version at or below 25, so only v1 goes.
+  EXPECT_EQ(table.GarbageCollect(25), 1);
+  expect_reads_from_20();
+  auto scan = table.ScanAt("", "", 25);
+  ASSERT_EQ(scan.size(), 1u);
+  EXPECT_EQ(scan[0].value, "v2");
+  EXPECT_EQ(scan[0].version, 20);
+
+  // Past the tombstone, the row and its queued entries are gone.
+  table.Apply("k", std::nullopt, 40);
+  expect_read(40, std::nullopt, 40);
+  EXPECT_EQ(table.GarbageCollect(40), 3);
+  EXPECT_EQ(table.gc_queue_size(), 0u);
+  expect_read(kMaxTimestamp, std::nullopt, 0);
+  EXPECT_TRUE(table.ScanAt("", "", kMaxTimestamp).empty());
+
+  // A re-inserted key starts a fresh row.
+  table.Apply("k", "v4", 50);
+  expect_read(45, std::nullopt, 0);
+  expect_read(50, "v4", 50);
+  EXPECT_EQ(table.gc_queue_size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Referee: storage against a brute-force versioned model, with explicit and
 // load-based splits and garbage collection interleaved with the commits.
