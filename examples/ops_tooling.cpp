@@ -70,7 +70,8 @@ int main() {
 
   // --- Data validation job (§VI) ---
   backend::DataValidationService validator(&service.spanner());
-  auto report = validator.ValidateDatabase(db, *service.catalog(db));
+  auto report =
+      validator.ValidateDatabase(db, *service.catalog(db)->Snapshot());
   FS_CHECK(report.ok());
   std::cout << "validation: " << report->Summary() << "\n";
 
@@ -81,7 +82,7 @@ int main() {
              "bit-rot");
     FS_CHECK(txn->Commit().ok());
   }
-  report = validator.ValidateDatabase(db, *service.catalog(db));
+  report = validator.ValidateDatabase(db, *service.catalog(db)->Snapshot());
   std::cout << "after corruption: " << report->Summary() << "\n";
   // Remediate: the repair job drops the unparseable row and its stale index
   // entries; the application then rewrites the document through the API.
@@ -93,7 +94,7 @@ int main() {
                                   {{"status", model::Value::String("done")},
                                    {"amount", model::Value::Integer(3)}})})
                   .status());
-  report = validator.ValidateDatabase(db, *service.catalog(db));
+  report = validator.ValidateDatabase(db, *service.catalog(db)->Snapshot());
   std::cout << "after repair + rewrite: " << report->Summary() << "\n";
 
   // --- Emergency isolation tools (§VI) ---

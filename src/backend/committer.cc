@@ -258,7 +258,9 @@ StatusOr<CommitResponse> Committer::CommitInternal(
     current = std::move(next);
   }
 
-  // Step 4: buffer entity rows and index-entry deltas.
+  // Step 4: buffer entity rows and index-entry deltas, under one catalog
+  // snapshot taken after step 2's locks (see firestore/index/catalog.h).
+  std::shared_ptr<const index::CatalogSnapshot> indexes = catalog.Snapshot();
   CommitResponse response;
   std::vector<ResourcePath> names;
   int64_t writes = 0, deletes = 0, storage_delta = 0;
@@ -270,8 +272,8 @@ StatusOr<CommitResponse> Committer::CommitInternal(
 
     std::vector<std::string> old_entries;
     if (old_doc.has_value()) {
-      old_entries = index::ComputeIndexEntries(catalog, database_id,
-                                               *old_doc);
+      // An automatic index the snapshot lacks has no entries to delete.
+      old_entries = index::ComputeIndexEntries(*indexes, database_id, *old_doc);
       storage_delta -= static_cast<int64_t>(old_doc->ByteSize());
     }
     std::vector<std::string> new_entries;
@@ -283,8 +285,17 @@ StatusOr<CommitResponse> Committer::CommitInternal(
       to_store.set_update_time(0);
       txn.Put(index::kEntitiesTable, index::EntityKey(database_id, name),
               codec::SerializeDocument(to_store));
-      new_entries = index::ComputeIndexEntries(catalog, database_id,
-                                               *new_doc);
+      // A document needing automatic indexes the snapshot lacks
+      // materializes them; the commit goes on under the snapshot that
+      // publishes.
+      std::vector<index::AutoIndexKey> missing;
+      new_entries = index::ComputeIndexEntries(*indexes, database_id,
+                                               *new_doc, &missing);
+      if (!missing.empty()) {
+        indexes = catalog.MaterializeAutoIndexes(missing);
+        new_entries =
+            index::ComputeIndexEntries(*indexes, database_id, *new_doc);
+      }
       storage_delta += static_cast<int64_t>(new_doc->ByteSize());
       ++writes;
     } else {

@@ -13,6 +13,23 @@ using model::Document;
 using model::ResourcePath;
 using spanner::Timestamp;
 
+namespace {
+
+// Plans `q` under one catalog snapshot: the current one, or, when the query
+// may use automatic indexes it lacks, the one materializing them publishes.
+StatusOr<query::QueryPlan> Plan(index::IndexCatalog& catalog,
+                                const std::string& database_id,
+                                const query::Query& q, Timestamp read_ts) {
+  std::vector<index::AutoIndexKey> missing;
+  StatusOr<query::QueryPlan> plan = query::PlanQuery(
+      *catalog.Snapshot(), database_id, q, read_ts, &missing);
+  if (missing.empty()) return plan;
+  return query::PlanQuery(*catalog.MaterializeAutoIndexes(missing),
+                          database_id, q, read_ts);
+}
+
+}  // namespace
+
 StatusOr<std::optional<Document>> ReadService::ReadDocumentAt(
     const std::string& database_id, const ResourcePath& name,
     Timestamp read_ts) const {
@@ -75,7 +92,7 @@ StatusOr<RunQueryResult> ReadService::RunQuery(
     RETURN_IF_ERROR(rules->Authorize(request));
   }
   ASSIGN_OR_RETURN(query::QueryPlan plan,
-                   query::PlanQuery(catalog, database_id, q));
+                   Plan(catalog, database_id, q, read_ts));
   query::SnapshotRowReader reader(spanner_, read_ts);
   query::ExecOptions exec_options;
   exec_options.max_index_rows = max_rows_per_rpc_;
@@ -101,7 +118,7 @@ StatusOr<RunCountResult> ReadService::RunCountQuery(
     const query::Query& q, Timestamp read_ts) {
   if (read_ts == 0) read_ts = spanner_->StrongReadTimestamp();
   ASSIGN_OR_RETURN(query::QueryPlan plan,
-                   query::PlanQuery(catalog, database_id, q));
+                   Plan(catalog, database_id, q, read_ts));
   query::SnapshotRowReader reader(spanner_, read_ts);
   ASSIGN_OR_RETURN(query::CountResult counted,
                    query::ExecuteCountQuery(reader, database_id, q, plan));
@@ -138,7 +155,7 @@ StatusOr<RunAggregateResult> ReadService::RunSumQuery(
     effective.OrderByField(field);
   }
   ASSIGN_OR_RETURN(query::QueryPlan plan,
-                   query::PlanQuery(catalog, database_id, effective));
+                   Plan(catalog, database_id, effective, read_ts));
   query::SnapshotRowReader reader(spanner_, read_ts);
   ASSIGN_OR_RETURN(
       query::AggregateResult agg,
@@ -157,8 +174,9 @@ StatusOr<RunAggregateResult> ReadService::RunSumQuery(
 StatusOr<query::QueryResult> ReadService::RunQueryInTransaction(
     const std::string& database_id, index::IndexCatalog& catalog,
     const query::Query& q, spanner::ReadWriteTransaction& txn) {
+  // Locking reads see the latest version, where every active index is whole.
   ASSIGN_OR_RETURN(query::QueryPlan plan,
-                   query::PlanQuery(catalog, database_id, q));
+                   Plan(catalog, database_id, q, spanner::kMaxTimestamp));
   query::TransactionRowReader reader(&txn);
   ASSIGN_OR_RETURN(query::QueryResult result,
                    query::ExecuteQuery(reader, database_id, q, plan));

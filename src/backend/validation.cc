@@ -24,25 +24,23 @@ std::string ValidationReport::Summary() const {
 }
 
 StatusOr<ValidationReport> DataValidationService::ValidateDatabase(
-    const std::string& database_id, index::IndexCatalog& catalog,
+    const std::string& database_id, const index::CatalogSnapshot& catalog,
     spanner::Timestamp snapshot_ts) {
   if (snapshot_ts == 0) snapshot_ts = spanner_->StrongReadTimestamp();
   ValidationReport report;
 
-  // Indexes currently in flux are excluded from strict accounting.
-  std::set<index::IndexId> in_flux;
-  for (const index::IndexDefinition& def : catalog.AllIndexes()) {
-    if (def.state != index::IndexState::kActive) {
-      in_flux.insert(def.index_id);
-    }
-  }
-  auto index_of_key = [&](const std::string& key) -> index::IndexId {
+  // Entries of indexes in flux, or newer than the catalog snapshot, are
+  // excluded from strict accounting.
+  auto excluded = [&](const std::string& key) {
     std::string_view rest = key;
     std::string db;
     index::IndexId id = 0;
-    if (!codec::ParseBytes(&rest, &db)) return -1;
-    if (!codec::ParseInt64(&rest, &id)) return -1;
-    return id;
+    if (!codec::ParseBytes(&rest, &db) || !codec::ParseInt64(&rest, &id)) {
+      return false;
+    }
+    const index::IndexDefinition* def = catalog.Find(id);
+    return id >= catalog.next_id ||
+           (def != nullptr && def->state != index::IndexState::kActive);
   };
 
   // Recompute the expected entry set from the documents.
@@ -64,7 +62,7 @@ StatusOr<ValidationReport> DataValidationService::ValidateDatabase(
       }
       for (std::string& key :
            index::ComputeIndexEntries(catalog, database_id, *doc)) {
-        if (in_flux.count(index_of_key(key)) != 0) continue;
+        if (excluded(key)) continue;
         expected.insert(std::move(key));
       }
     }
@@ -81,7 +79,7 @@ StatusOr<ValidationReport> DataValidationService::ValidateDatabase(
     if (rows.empty()) break;
     for (const spanner::ScanRow& row : rows) {
       ++report.index_entries_checked;
-      if (in_flux.count(index_of_key(row.key)) != 0) continue;
+      if (excluded(row.key)) continue;
       auto it = expected.find(row.key);
       if (it != expected.end()) {
         expected.erase(it);
@@ -100,7 +98,7 @@ StatusOr<ValidationReport> DataValidationService::ValidateDatabase(
 StatusOr<ValidationReport> DataValidationService::RepairDatabase(
     const std::string& database_id, index::IndexCatalog& catalog) {
   ASSIGN_OR_RETURN(ValidationReport before,
-                   ValidateDatabase(database_id, catalog));
+                   ValidateDatabase(database_id, *catalog.Snapshot()));
   if (before.clean()) return before;
   auto txn = spanner_->BeginTransaction();
   for (const std::string& key : before.orphan_entries) {
@@ -114,7 +112,7 @@ StatusOr<ValidationReport> DataValidationService::RepairDatabase(
   }
   auto commit = txn->Commit();
   if (!commit.ok()) return commit.status();
-  return ValidateDatabase(database_id, catalog);
+  return ValidateDatabase(database_id, *catalog.Snapshot());
 }
 
 }  // namespace firestore::backend

@@ -43,11 +43,12 @@ class DataValidationService {
       : spanner_(spanner) {}
 
   // Validates one database at a consistent snapshot (0 = current strong
-  // timestamp). Entries of indexes in kBackfilling / kRemoving states are
-  // excluded from the orphan/missing accounting (they are expected to be in
-  // flux).
+  // timestamp) against one catalog snapshot. Entries of indexes in
+  // kBackfilling / kRemoving states, and of indexes newer than `catalog`,
+  // are excluded from the orphan/missing accounting (they are expected to be
+  // in flux).
   StatusOr<ValidationReport> ValidateDatabase(
-      const std::string& database_id, index::IndexCatalog& catalog,
+      const std::string& database_id, const index::CatalogSnapshot& catalog,
       spanner::Timestamp snapshot_ts = 0);
 
   // Remediation: removes orphan index entries, re-creates missing ones, and

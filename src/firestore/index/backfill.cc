@@ -16,38 +16,43 @@ StatusOr<IndexId> IndexBackfillService::CreateIndex(
                    catalog.AddCompositeIndex(collection_id,
                                              std::move(segments),
                                              IndexState::kBackfilling));
-  std::optional<IndexDefinition> def = catalog.GetIndex(id);
-  FS_CHECK(def.has_value());
+  std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
+  const IndexDefinition* def = snapshot->Find(id);
+  FS_CHECK(def != nullptr);
   Status backfill = BackfillEntries(*def, database_id, batch_size);
   if (!backfill.ok()) {
     // Roll the definition back so writes stop maintaining it.
     (void)catalog.RemoveIndex(id);
     return backfill;
   }
-  RETURN_IF_ERROR(catalog.SetIndexState(id, IndexState::kActive));
+  // Every batch has committed, so a strong read from now on sees the index
+  // whole; an older read timestamp may not.
+  RETURN_IF_ERROR(catalog.SetIndexState(id, IndexState::kActive,
+                                        spanner_->StrongReadTimestamp()));
   return id;
 }
 
 Status IndexBackfillService::DropIndex(IndexCatalog& catalog,
                                        std::string_view database_id,
                                        IndexId index_id, int batch_size) {
-  std::optional<IndexDefinition> def = catalog.GetIndex(index_id);
-  if (!def.has_value()) return NotFoundError("no such index");
   RETURN_IF_ERROR(catalog.SetIndexState(index_id, IndexState::kRemoving));
   RETURN_IF_ERROR(RemoveEntries(database_id, index_id, batch_size));
   return catalog.RemoveIndex(index_id);
 }
 
-Status IndexBackfillService::RemoveExemptedFieldEntries(
+Status IndexBackfillService::ExemptField(
     IndexCatalog& catalog, std::string_view database_id,
     const std::string& collection_id, const model::FieldPath& field,
     int batch_size) {
-  if (!catalog.IsExempted(collection_id, field)) {
-    return FailedPreconditionError("field is not exempted");
-  }
-  for (IndexId id : catalog.ExistingAutoIndexIds(collection_id, field)) {
-    RETURN_IF_ERROR(RemoveEntries(database_id, id, batch_size));
-    RETURN_IF_ERROR(catalog.RemoveIndex(id));
+  catalog.AddExemption(collection_id, field);
+  std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
+  const std::string canonical = field.CanonicalString();
+  for (SegmentKind kind : {SegmentKind::kAscending, SegmentKind::kDescending,
+                           SegmentKind::kArrayContains}) {
+    if (IndexId id = snapshot->AutoIndexId(collection_id, canonical, kind)) {
+      RETURN_IF_ERROR(RemoveEntries(database_id, id, batch_size));
+      RETURN_IF_ERROR(catalog.RemoveIndex(id));
+    }
   }
   return Status::Ok();
 }

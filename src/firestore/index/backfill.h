@@ -25,7 +25,9 @@ class IndexBackfillService {
 
   // Creates a composite index end-to-end: registers it as kBackfilling,
   // scans the database's Entities rows in batches, writes the IndexEntries
-  // rows transactionally, then activates the index. Returns the new id.
+  // rows transactionally, then activates the index as of the current strong
+  // read timestamp (queries reading earlier do not use it). Returns the new
+  // id.
   StatusOr<IndexId> CreateIndex(IndexCatalog& catalog,
                                 std::string_view database_id,
                                 const std::string& collection_id,
@@ -37,13 +39,11 @@ class IndexBackfillService {
   Status DropIndex(IndexCatalog& catalog, std::string_view database_id,
                    IndexId index_id, int batch_size = 128);
 
-  // Removes existing automatic-index entries after a field exemption is
-  // added (queries already stopped using the index).
-  Status RemoveExemptedFieldEntries(IndexCatalog& catalog,
-                                    std::string_view database_id,
-                                    const std::string& collection_id,
-                                    const model::FieldPath& field,
-                                    int batch_size = 128);
+  // Exempts a field from automatic indexing, which stops queries using its
+  // automatic indexes at once, then removes those indexes and their entries.
+  Status ExemptField(IndexCatalog& catalog, std::string_view database_id,
+                     const std::string& collection_id,
+                     const model::FieldPath& field, int batch_size = 128);
 
  private:
   // Scans Entities for `database_id` and writes each document's entries for

@@ -2,63 +2,105 @@
 
 #include <sstream>
 
+#include "common/logging.h"
+
 namespace firestore::index {
 
 std::string IndexDefinition::DebugString() const {
+  static constexpr const char* kKinds[] = {" asc", " desc", " array-contains"};
   std::ostringstream os;
   os << "index#" << index_id << " on " << collection_id << " (";
   for (size_t i = 0; i < segments.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << segments[i].field.CanonicalString();
-    switch (segments[i].kind) {
-      case SegmentKind::kAscending:
-        os << " asc";
-        break;
-      case SegmentKind::kDescending:
-        os << " desc";
-        break;
-      case SegmentKind::kArrayContains:
-        os << " array-contains";
-        break;
-    }
+    os << (i > 0 ? ", " : "") << segments[i].field.CanonicalString()
+       << kKinds[static_cast<int>(segments[i].kind)];
   }
   os << ")";
   return os.str();
 }
 
+const IndexDefinition* CatalogSnapshot::Find(IndexId index_id) const {
+  auto it = indexes.find(index_id);
+  return it == indexes.end() ? nullptr : &it->second;
+}
+
+IndexId CatalogSnapshot::AutoIndexId(const std::string& collection_id,
+                                     const std::string& field,
+                                     SegmentKind kind) const {
+  auto it = auto_ids.find(std::make_tuple(collection_id, field, kind));
+  return it == auto_ids.end() ? 0 : it->second;
+}
+
+bool CatalogSnapshot::IsExempted(const std::string& collection_id,
+                                 const std::string& field) const {
+  return exemptions.count({collection_id, field}) != 0;
+}
+
+std::vector<const IndexDefinition*> CatalogSnapshot::ActiveIndexes(
+    const std::string& collection_id, spanner::Timestamp read_ts) const {
+  std::vector<const IndexDefinition*> result;
+  for (const auto& [id, def] : indexes) {
+    if (def.collection_id == collection_id &&
+        def.state == IndexState::kActive && def.active_since <= read_ts &&
+        !(def.automatic &&
+          IsExempted(collection_id, def.segments[0].field.CanonicalString()))) {
+      result.push_back(&def);
+    }
+  }
+  return result;
+}
+
+std::vector<const IndexDefinition*> CatalogSnapshot::MaintainedComposites(
+    const std::string& collection_id) const {
+  std::vector<const IndexDefinition*> result;
+  for (const auto& [id, def] : indexes) {
+    if (def.collection_id == collection_id && !def.automatic) {
+      result.push_back(&def);
+    }
+  }
+  return result;
+}
+
+std::shared_ptr<const CatalogSnapshot> IndexCatalog::Snapshot() const {
+  MutexLock lock(&mu_);
+  return snapshot_;
+}
+
+StatusOr<std::shared_ptr<const CatalogSnapshot>> IndexCatalog::Publish(
+    const std::function<Status(CatalogSnapshot&)>& edit) {
+  MutexLock lock(&mu_);
+  auto next = std::make_shared<CatalogSnapshot>(*snapshot_);
+  ++next->version;
+  RETURN_IF_ERROR(edit(*next));
+  snapshot_ = std::move(next);
+  return snapshot_;
+}
+
+std::shared_ptr<const CatalogSnapshot> IndexCatalog::MaterializeAutoIndexes(
+    const std::vector<AutoIndexKey>& wanted) {
+  return *Publish([&](CatalogSnapshot& next) {
+    for (const auto& [collection_id, field, kind] : wanted) {
+      const std::string canonical = field.CanonicalString();
+      if (next.IsExempted(collection_id, canonical) ||
+          next.AutoIndexId(collection_id, canonical, kind) != 0) {
+        continue;
+      }
+      // Automatic indexes are active from birth.
+      next.indexes[next.next_id] = {next.next_id, collection_id,
+                                    {{field, kind}}, IndexState::kActive,
+                                    /*automatic=*/true};
+      next.auto_ids.emplace(std::make_tuple(collection_id, canonical, kind),
+                            next.next_id++);
+    }
+    return Status::Ok();
+  });
+}
+
 void IndexCatalog::AddExemption(const std::string& collection_id,
                                 const model::FieldPath& field) {
-  MutexLock lock(&mu_);
-  exemptions_.emplace(collection_id, field.CanonicalString());
-}
-
-bool IndexCatalog::IsExempted(const std::string& collection_id,
-                              const model::FieldPath& field) const {
-  MutexLock lock(&mu_);
-  return exemptions_.count({collection_id, field.CanonicalString()}) != 0;
-}
-
-IndexId IndexCatalog::NextIdLocked() { return next_id_++; }
-
-std::optional<IndexDefinition> IndexCatalog::AutoIndex(
-    const std::string& collection_id, const model::FieldPath& field,
-    SegmentKind kind) {
-  MutexLock lock(&mu_);
-  if (exemptions_.count({collection_id, field.CanonicalString()}) != 0) {
-    return std::nullopt;
-  }
-  auto key = std::make_tuple(collection_id, field.CanonicalString(), kind);
-  auto it = auto_ids_.find(key);
-  if (it != auto_ids_.end()) return indexes_.at(it->second);
-  IndexDefinition def;
-  def.index_id = NextIdLocked();
-  def.collection_id = collection_id;
-  def.segments = {IndexSegment{field, kind}};
-  def.state = IndexState::kActive;  // auto indexes are active from birth
-  def.automatic = true;
-  auto_ids_.emplace(key, def.index_id);
-  indexes_.emplace(def.index_id, def);
-  return def;
+  FS_CHECK_OK(Publish([&](CatalogSnapshot& next) {
+    next.exemptions.emplace(collection_id, field.CanonicalString());
+    return Status::Ok();
+  }).status());
 }
 
 StatusOr<IndexId> IndexCatalog::AddCompositeIndex(
@@ -75,105 +117,48 @@ StatusOr<IndexId> IndexCatalog::AddCompositeIndex(
           "array-contains is only supported in single-field indexes");
     }
   }
-  MutexLock lock(&mu_);
-  // Reject exact duplicates.
-  for (const auto& [id, def] : indexes_) {
-    if (def.collection_id == collection_id && def.segments == segments &&
-        def.state != IndexState::kRemoving) {
-      return AlreadyExistsError("identical index already exists: " +
-                                def.DebugString());
+  IndexId id = 0;
+  RETURN_IF_ERROR(Publish([&](CatalogSnapshot& next) {
+    // Reject exact duplicates.
+    for (const auto& [existing, def] : next.indexes) {
+      if (def.collection_id == collection_id && def.segments == segments &&
+          def.state != IndexState::kRemoving) {
+        return AlreadyExistsError("identical index already exists: " +
+                                  def.DebugString());
+      }
     }
-  }
-  IndexDefinition def;
-  def.index_id = NextIdLocked();
-  def.collection_id = collection_id;
-  def.segments = std::move(segments);
-  def.state = initial_state;
-  def.automatic = false;
-  IndexId id = def.index_id;
-  indexes_.emplace(id, std::move(def));
+    id = next.next_id++;
+    next.indexes[id] = {id, collection_id, std::move(segments), initial_state,
+                        /*automatic=*/false};
+    return Status::Ok();
+  }).status());
   return id;
 }
 
-Status IndexCatalog::SetIndexState(IndexId index_id, IndexState state) {
-  MutexLock lock(&mu_);
-  auto it = indexes_.find(index_id);
-  if (it == indexes_.end()) return NotFoundError("no such index");
-  it->second.state = state;
-  return Status::Ok();
+Status IndexCatalog::SetIndexState(IndexId index_id, IndexState state,
+                                   spanner::Timestamp active_since) {
+  return Publish([&](CatalogSnapshot& next) {
+    auto it = next.indexes.find(index_id);
+    if (it == next.indexes.end()) return NotFoundError("no such index");
+    it->second.state = state;
+    if (state == IndexState::kActive) it->second.active_since = active_since;
+    return Status::Ok();
+  }).status();
 }
 
 Status IndexCatalog::RemoveIndex(IndexId index_id) {
-  MutexLock lock(&mu_);
-  auto it = indexes_.find(index_id);
-  if (it == indexes_.end()) return NotFoundError("no such index");
-  // Drop any auto-id mapping pointing at it.
-  for (auto ait = auto_ids_.begin(); ait != auto_ids_.end(); ++ait) {
-    if (ait->second == index_id) {
-      auto_ids_.erase(ait);
-      break;
+  return Publish([&](CatalogSnapshot& next) {
+    auto it = next.indexes.find(index_id);
+    if (it == next.indexes.end()) return NotFoundError("no such index");
+    const IndexDefinition& def = it->second;
+    if (def.automatic) {
+      const IndexSegment& segment = def.segments[0];
+      next.auto_ids.erase(std::make_tuple(
+          def.collection_id, segment.field.CanonicalString(), segment.kind));
     }
-  }
-  indexes_.erase(it);
-  return Status::Ok();
-}
-
-std::optional<IndexDefinition> IndexCatalog::GetIndex(IndexId index_id) const {
-  MutexLock lock(&mu_);
-  auto it = indexes_.find(index_id);
-  if (it == indexes_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<IndexDefinition> IndexCatalog::ActiveIndexes(
-    const std::string& collection_id) const {
-  MutexLock lock(&mu_);
-  std::vector<IndexDefinition> result;
-  for (const auto& [id, def] : indexes_) {
-    if (def.collection_id != collection_id ||
-        def.state != IndexState::kActive) {
-      continue;
-    }
-    // An automatic index on a newly-exempted field stops serving queries
-    // immediately, even before its entries are backremoved.
-    if (def.automatic &&
-        exemptions_.count({collection_id,
-                           def.segments[0].field.CanonicalString()}) != 0) {
-      continue;
-    }
-    result.push_back(def);
-  }
-  return result;
-}
-
-std::vector<IndexDefinition> IndexCatalog::MaintainedIndexes(
-    const std::string& collection_id) const {
-  MutexLock lock(&mu_);
-  std::vector<IndexDefinition> result;
-  for (const auto& [id, def] : indexes_) {
-    if (def.collection_id == collection_id) result.push_back(def);
-  }
-  return result;
-}
-
-std::vector<IndexId> IndexCatalog::ExistingAutoIndexIds(
-    const std::string& collection_id, const model::FieldPath& field) const {
-  MutexLock lock(&mu_);
-  std::vector<IndexId> ids;
-  for (SegmentKind kind : {SegmentKind::kAscending, SegmentKind::kDescending,
-                           SegmentKind::kArrayContains}) {
-    auto it = auto_ids_.find(
-        std::make_tuple(collection_id, field.CanonicalString(), kind));
-    if (it != auto_ids_.end()) ids.push_back(it->second);
-  }
-  return ids;
-}
-
-std::vector<IndexDefinition> IndexCatalog::AllIndexes() const {
-  MutexLock lock(&mu_);
-  std::vector<IndexDefinition> result;
-  for (const auto& [id, def] : indexes_) result.push_back(def);
-  return result;
+    next.indexes.erase(it);
+    return Status::Ok();
+  }).status();
 }
 
 }  // namespace firestore::index

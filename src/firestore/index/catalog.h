@@ -6,13 +6,25 @@
 // indexes (paper §III-B). Automatic definitions are materialized lazily: the
 // first write or query touching a (collection, field, kind) combination
 // allocates its stable index id.
+//
+// Readers see the catalog as an immutable CatalogSnapshot: a request takes
+// one with Snapshot() and reads every definition from it by reference. Each
+// change copies the current snapshot, edits the copy and publishes it whole,
+// so a snapshot never changes once taken and outlives any later change.
+//
+// A commit takes its snapshot after it holds the exclusive locks on the
+// documents it writes. An index the snapshot lacks was then added after the
+// commit locked its rows, and the index's backfill, which reads those rows
+// under locks, waits for the commit and indexes what it wrote. A snapshot
+// taken before the locks could miss an index whose backfill had already
+// passed the row, and the commit would leave the row unindexed.
 
 #ifndef FIRESTORE_INDEX_CATALOG_H_
 #define FIRESTORE_INDEX_CATALOG_H_
 
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,30 +35,71 @@
 
 namespace firestore::index {
 
+// An automatic index a request needs: one (collection, field, kind).
+struct AutoIndexKey {
+  std::string collection_id;
+  model::FieldPath field;
+  SegmentKind kind = SegmentKind::kAscending;
+};
+
+// One immutable view of a database's index definitions: the catalog hands
+// it out as `shared_ptr<const CatalogSnapshot>` and only ever edits a copy
+// it has not yet published. `field` arguments are canonical field strings
+// (FieldPath::CanonicalString).
+struct CatalogSnapshot {
+  // The definition with this id, or null.
+  const IndexDefinition* Find(IndexId index_id) const;
+
+  // The id of the materialized automatic index (collection, field, kind),
+  // or 0 if it is not materialized.
+  IndexId AutoIndexId(const std::string& collection_id,
+                      const std::string& field, SegmentKind kind) const;
+
+  bool IsExempted(const std::string& collection_id,
+                  const std::string& field) const;
+
+  // Every ACTIVE definition of a collection id that is whole at `read_ts`,
+  // automatic ones on exempted fields excepted: they stop serving queries
+  // at once, before their entries are backremoved. The planner's
+  // candidate set.
+  std::vector<const IndexDefinition*> ActiveIndexes(
+      const std::string& collection_id,
+      spanner::Timestamp read_ts = spanner::kMaxTimestamp) const;
+
+  // The composite definitions of a collection id that writes maintain: all
+  // of them, whether active, backfilling or removing.
+  std::vector<const IndexDefinition*> MaintainedComposites(
+      const std::string& collection_id) const;
+
+  // How many snapshots the catalog published before this one.
+  int64_t version = 0;
+  // Every id below this was allocated before the snapshot was published.
+  IndexId next_id = 1;
+  std::map<IndexId, IndexDefinition> indexes;
+  // (collection, field canonical, kind) -> id for automatic indexes.
+  std::map<std::tuple<std::string, std::string, SegmentKind>, IndexId>
+      auto_ids;
+  std::set<std::pair<std::string, std::string>> exemptions;
+};
+
 class IndexCatalog {
  public:
-  IndexCatalog() = default;
+  // The current definitions; later changes publish a new snapshot and leave
+  // this one as it is.
+  std::shared_ptr<const CatalogSnapshot> Snapshot() const;
 
-  IndexCatalog(const IndexCatalog&) = delete;
-  IndexCatalog& operator=(const IndexCatalog&) = delete;
-
-  // -- Automatic indexing --
+  // Materializes, in order and under one lock, every automatic index of
+  // `wanted` that is neither materialized nor exempted, and returns the
+  // snapshot it publishes.
+  std::shared_ptr<const CatalogSnapshot> MaterializeAutoIndexes(
+      const std::vector<AutoIndexKey>& wanted);
 
   // Excludes a field from automatic indexing (queries needing it then fail,
   // and writes stop producing its entries). Existing entries are removed by
-  // the backfill service (paper §IV-D1), which calls this after scheduling.
+  // the backfill service (paper §IV-D1): IndexBackfillService::ExemptField
+  // calls this, then backremoves them.
   void AddExemption(const std::string& collection_id,
                     const model::FieldPath& field);
-  bool IsExempted(const std::string& collection_id,
-                  const model::FieldPath& field) const;
-
-  // The automatic index for (collection, field, kind); creates its
-  // definition on first use. Exempted fields return nullopt.
-  std::optional<IndexDefinition> AutoIndex(const std::string& collection_id,
-                                           const model::FieldPath& field,
-                                           SegmentKind kind);
-
-  // -- Composite (user-defined) indexes --
 
   // Registers a composite index in the given initial state; returns its id.
   // The index becomes queryable once SetIndexState(kActive) is called (the
@@ -55,41 +108,20 @@ class IndexCatalog {
                                       std::vector<IndexSegment> segments,
                                       IndexState initial_state);
 
-  Status SetIndexState(IndexId index_id, IndexState state);
+  // `active_since` is recorded on the definition when `state` is kActive.
+  Status SetIndexState(IndexId index_id, IndexState state,
+                       spanner::Timestamp active_since = 0);
   Status RemoveIndex(IndexId index_id);
 
-  // -- Lookup --
-
-  std::optional<IndexDefinition> GetIndex(IndexId index_id) const;
-
-  // Every ACTIVE index (automatic already materialized + composite) for a
-  // collection id; the planner's candidate set.
-  std::vector<IndexDefinition> ActiveIndexes(
-      const std::string& collection_id) const;
-
-  // Every index that writes must maintain (active, backfilling or removing).
-  std::vector<IndexDefinition> MaintainedIndexes(
-      const std::string& collection_id) const;
-
-  // All definitions (for tests / admin).
-  std::vector<IndexDefinition> AllIndexes() const;
-
-  // Ids of the already-materialized automatic indexes of one field (asc,
-  // desc, array-contains — whichever exist). Used when exempting a field.
-  std::vector<IndexId> ExistingAutoIndexIds(
-      const std::string& collection_id, const model::FieldPath& field) const;
-
  private:
-  IndexId NextIdLocked() FS_REQUIRES(mu_);
+  // Copies the current snapshot, applies `edit` to the copy and publishes
+  // it, all under mu_; an `edit` that fails publishes nothing.
+  StatusOr<std::shared_ptr<const CatalogSnapshot>> Publish(
+      const std::function<Status(CatalogSnapshot&)>& edit);
 
   mutable Mutex mu_;
-  IndexId next_id_ FS_GUARDED_BY(mu_) = 1;
-  std::map<IndexId, IndexDefinition> indexes_ FS_GUARDED_BY(mu_);
-  // (collection, field canonical, kind) -> id for automatic indexes.
-  std::map<std::tuple<std::string, std::string, SegmentKind>, IndexId>
-      auto_ids_ FS_GUARDED_BY(mu_);
-  std::set<std::pair<std::string, std::string>> exemptions_
-      FS_GUARDED_BY(mu_);
+  std::shared_ptr<const CatalogSnapshot> snapshot_ FS_GUARDED_BY(mu_) =
+      std::make_shared<const CatalogSnapshot>();
 };
 
 }  // namespace firestore::index

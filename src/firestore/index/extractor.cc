@@ -51,9 +51,9 @@ std::vector<IndexableLeaf> FlattenDocument(const Document& doc) {
   return leaves;
 }
 
-std::vector<std::string> ComputeIndexEntries(IndexCatalog& catalog,
-                                             std::string_view database_id,
-                                             const Document& doc) {
+std::vector<std::string> ComputeIndexEntries(
+    const CatalogSnapshot& catalog, std::string_view database_id,
+    const Document& doc, std::vector<AutoIndexKey>* missing) {
   std::vector<std::string> keys;
   const std::string collection_id = CollectionIdOf(doc);
   const std::vector<IndexableLeaf> leaves = FlattenDocument(doc);
@@ -61,26 +61,30 @@ std::vector<std::string> ComputeIndexEntries(IndexCatalog& catalog,
   // Automatic single-field indexes: ascending + descending per leaf, plus
   // array-contains per element of array leaves.
   for (const IndexableLeaf& leaf : leaves) {
+    const std::string field = leaf.field.CanonicalString();
+    if (catalog.IsExempted(collection_id, field)) continue;
+    auto index_id = [&](SegmentKind kind) {
+      IndexId id = catalog.AutoIndexId(collection_id, field, kind);
+      if (id == 0 && missing != nullptr) {
+        missing->push_back({collection_id, leaf.field, kind});
+      }
+      return id;
+    };
     for (SegmentKind kind : {SegmentKind::kAscending,
                              SegmentKind::kDescending}) {
-      std::optional<IndexDefinition> def =
-          catalog.AutoIndex(collection_id, leaf.field, kind);
-      if (!def.has_value()) continue;  // exempted
+      IndexId id = index_id(kind);
+      if (id == 0) continue;
       std::string values;
       AppendSegmentValue(values, kind, leaf.value);
-      keys.push_back(
-          IndexEntryKey(database_id, def->index_id, values, doc.name()));
+      keys.push_back(IndexEntryKey(database_id, id, values, doc.name()));
     }
     if (leaf.value.type() == ValueType::kArray) {
-      std::optional<IndexDefinition> def = catalog.AutoIndex(
-          collection_id, leaf.field, SegmentKind::kArrayContains);
-      if (def.has_value()) {
-        for (const Value& element : leaf.value.array_value()) {
-          std::string values;
-          codec::AppendValueAsc(values, element);
-          keys.push_back(IndexEntryKey(database_id, def->index_id, values,
-                                       doc.name()));
-        }
+      IndexId id = index_id(SegmentKind::kArrayContains);
+      if (id == 0) continue;
+      for (const Value& element : leaf.value.array_value()) {
+        std::string values;
+        codec::AppendValueAsc(values, element);
+        keys.push_back(IndexEntryKey(database_id, id, values, doc.name()));
       }
     }
   }
@@ -88,11 +92,10 @@ std::vector<std::string> ComputeIndexEntries(IndexCatalog& catalog,
   // Composite indexes in any maintained state (a mutating write "makes all
   // necessary updates to the IndexEntries table so that it conforms to an
   // on-going backfill or backremoval", paper §IV-D1).
-  for (const IndexDefinition& def :
-       catalog.MaintainedIndexes(collection_id)) {
-    if (def.automatic) continue;  // handled above
+  for (const IndexDefinition* def :
+       catalog.MaintainedComposites(collection_id)) {
     std::vector<std::string> entries =
-        ComputeEntriesForIndex(def, database_id, doc);
+        ComputeEntriesForIndex(*def, database_id, doc);
     keys.insert(keys.end(), entries.begin(), entries.end());
   }
 

@@ -1,5 +1,5 @@
-// Computes the IndexEntries rows implied by a document under the current
-// index catalog (paper §IV-D2 step 4: "Use the (cached) index definitions to
+// Computes the IndexEntries rows implied by a document under one catalog
+// snapshot (paper §IV-D2 step 4: "Use the (cached) index definitions to
 // compute the index entry changes for the two documents").
 
 #ifndef FIRESTORE_INDEX_EXTRACTOR_H_
@@ -25,13 +25,16 @@ struct IndexableLeaf {
 // appear themselves (whole-value ordering/equality).
 std::vector<IndexableLeaf> FlattenDocument(const model::Document& doc);
 
-// The full set of IndexEntries row keys for `doc`: automatic asc+desc per
-// leaf, array-contains per array element, plus every maintained composite
-// index whose fields the document has. May allocate automatic index ids in
-// the catalog. The result is sorted and deduplicated.
-std::vector<std::string> ComputeIndexEntries(IndexCatalog& catalog,
-                                             std::string_view database_id,
-                                             const model::Document& doc);
+// The full set of IndexEntries row keys for `doc` under `catalog`: automatic
+// asc+desc per leaf, array-contains per array element, plus every maintained
+// composite index whose fields the document has. The result is sorted and
+// deduplicated. An automatic index `doc` needs that `catalog` has neither
+// materialized nor exempted gives no entries; it is appended to `*missing`
+// (when given) in materialization order, so that the caller can materialize
+// it (IndexCatalog::MaterializeAutoIndexes) and compute again.
+std::vector<std::string> ComputeIndexEntries(
+    const CatalogSnapshot& catalog, std::string_view database_id,
+    const model::Document& doc, std::vector<AutoIndexKey>* missing = nullptr);
 
 // Entries of `doc` for one specific index (used by backfill). Empty if the
 // document does not participate (wrong collection or missing fields).

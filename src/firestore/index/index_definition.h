@@ -9,6 +9,7 @@
 
 #include "firestore/index/layout.h"
 #include "firestore/model/path.h"
+#include "spanner/truetime.h"
 
 namespace firestore::index {
 
@@ -45,6 +46,10 @@ struct IndexDefinition {
   std::vector<IndexSegment> segments;
   IndexState state = IndexState::kActive;
   bool automatic = false;
+  // Strong-read timestamp from which the index holds every document's
+  // entries: a query reading below it must not plan on it. 0 for automatic
+  // indexes, which exist before any document has their field.
+  spanner::Timestamp active_since = 0;
 
   std::string DebugString() const;
 };

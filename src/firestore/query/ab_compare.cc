@@ -34,7 +34,7 @@ StatusOr<std::vector<Document>> ReferenceEvaluate(
   return q.Evaluate(std::move(docs));
 }
 
-StatusOr<ABReport> ABCompareQuery(index::IndexCatalog& catalog,
+StatusOr<ABReport> ABCompareQuery(const index::CatalogSnapshot& catalog,
                                   RowReader& reader,
                                   std::string_view database_id,
                                   const Query& q) {

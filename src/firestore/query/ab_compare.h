@@ -34,7 +34,7 @@ StatusOr<std::vector<model::Document>> ReferenceEvaluate(
     RowReader& reader, std::string_view database_id, const Query& q);
 
 // Plans and executes `q`, then diffs against ReferenceEvaluate.
-StatusOr<ABReport> ABCompareQuery(index::IndexCatalog& catalog,
+StatusOr<ABReport> ABCompareQuery(const index::CatalogSnapshot& catalog,
                                   RowReader& reader,
                                   std::string_view database_id,
                                   const Query& q);

@@ -1,19 +1,15 @@
 #include "firestore/query/planner.h"
 
 #include <algorithm>
-#include <optional>
-#include <set>
 #include <sstream>
 
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "firestore/codec/value_codec.h"
-#include "firestore/index/extractor.h"
 #include "firestore/index/layout.h"
 
 namespace firestore::query {
 
-using index::IndexCatalog;
 using index::IndexDefinition;
 using index::IndexSegment;
 using index::SegmentKind;
@@ -110,10 +106,6 @@ bool TailMatchesOrder(const IndexDefinition& def, size_t eq_count,
   return true;
 }
 
-std::string DescribeScan(const IndexDefinition& def) {
-  return def.DebugString();
-}
-
 }  // namespace
 
 std::string QueryPlan::DebugString() const {
@@ -127,9 +119,10 @@ std::string QueryPlan::DebugString() const {
   return os.str();
 }
 
-StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
+StatusOr<QueryPlan> PlanQuery(const index::CatalogSnapshot& catalog,
                               std::string_view database_id,
-                              const Query& query) {
+                              const Query& query, spanner::Timestamp read_ts,
+                              std::vector<index::AutoIndexKey>* missing) {
   RETURN_IF_ERROR(query.Validate());
 
   const std::vector<OrderBy> order = query.NormalizedOrderBy();
@@ -192,51 +185,58 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
     }
   }
 
-  // Candidate generation. Lazily materialize the automatic indexes the
-  // query could use; exempted fields simply produce no candidate.
-  std::vector<IndexDefinition> candidates = catalog.ActiveIndexes(collection);
-  auto add_candidate = [&](std::optional<IndexDefinition> def) {
-    if (!def.has_value()) return;
-    for (const IndexDefinition& c : candidates) {
-      if (c.index_id == def->index_id) return;
+  // Candidates: the collection's active indexes that are whole at
+  // `read_ts`. Every materialized automatic index is among them; the ones
+  // the query may use but the snapshot lacks are reported, not planned.
+  const std::vector<const IndexDefinition*> candidates =
+      catalog.ActiveIndexes(collection, read_ts);
+  bool lacking = false;
+  auto find_auto = [&](const FieldPath& field,
+                       SegmentKind kind) -> const IndexDefinition* {
+    const std::string canonical = field.CanonicalString();
+    if (catalog.IsExempted(collection, canonical)) return nullptr;
+    index::IndexId id = catalog.AutoIndexId(collection, canonical, kind);
+    if (id == 0 && missing != nullptr) {
+      missing->push_back({collection, field, kind});
     }
-    candidates.push_back(*def);
+    lacking = lacking || id == 0;
+    return catalog.Find(id);
   };
   if (order.empty()) {
     for (const FieldPath& f : uncovered) {
-      add_candidate(catalog.AutoIndex(collection, f, SegmentKind::kAscending));
+      find_auto(f, SegmentKind::kAscending);
     }
   } else if (order.size() == 1) {
     // Joined scans each need suffix == order; the pure order-provider index
     // is a candidate alongside composites (and alone with no equalities).
-    add_candidate(catalog.AutoIndex(collection, order[0].field,
-                                    order[0].descending
-                                        ? SegmentKind::kDescending
-                                        : SegmentKind::kAscending));
-  }
-  for (const FieldFilter* f : contains) {
-    add_candidate(
-        catalog.AutoIndex(collection, f->field, SegmentKind::kArrayContains));
+    find_auto(order[0].field, order[0].descending ? SegmentKind::kDescending
+                                                  : SegmentKind::kAscending);
   }
 
   // A usable candidate covers a subset of the uncovered equality fields as
   // its prefix (any direction), followed exactly by the order suffix.
   struct Selected {
-    IndexDefinition def;
+    const IndexDefinition* def;
     std::vector<FieldPath> covered;  // equality fields, in segment order
+    const FieldFilter* contains = nullptr;  // an array-contains scan's filter
   };
   std::vector<Selected> selected;
 
   // Array-contains scans first: each filter needs its own AC index.
   for (const FieldFilter* f : contains) {
-    std::optional<IndexDefinition> def =
-        catalog.AutoIndex(collection, f->field, SegmentKind::kArrayContains);
-    if (!def.has_value()) {
+    const IndexDefinition* def =
+        find_auto(f->field, SegmentKind::kArrayContains);
+    if (def != nullptr) {
+      selected.push_back({def, {}, f});
+    } else if (catalog.IsExempted(collection, f->field.CanonicalString())) {
       return FailedPreconditionError(
           "field '" + f->field.CanonicalString() +
           "' is exempted from indexing; the query cannot be served");
     }
-    selected.push_back({*def, {}});
+  }
+  if (lacking) {
+    return FailedPreconditionError(
+        "the query needs automatic indexes that are not materialized yet");
   }
 
   const bool needs_order_scan = !order.empty();
@@ -244,35 +244,29 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
   while (!uncovered.empty() || (needs_order_scan && !have_order_scan)) {
     const IndexDefinition* best = nullptr;
     std::vector<FieldPath> best_covered;
-    for (const IndexDefinition& def : candidates) {
-      if (def.segments.empty()) continue;
-      if (def.segments.size() == 1 &&
-          def.segments[0].kind == SegmentKind::kArrayContains) {
-        continue;
-      }
-      // Longest equality prefix of this index lying within `uncovered`.
+    for (const IndexDefinition* def : candidates) {
+      // Longest equality prefix of this index lying within `uncovered` (an
+      // array-contains segment covers no equality and matches no order).
       std::vector<FieldPath> covered;
-      size_t k = 0;
-      while (k < def.segments.size()) {
-        const FieldPath& f = def.segments[k].field;
-        if (def.segments[k].kind == SegmentKind::kArrayContains) break;
-        if (std::find(uncovered.begin(), uncovered.end(), f) ==
+      for (const IndexSegment& segment : def->segments) {
+        const FieldPath& f = segment.field;
+        if (segment.kind == SegmentKind::kArrayContains ||
+            std::find(uncovered.begin(), uncovered.end(), f) ==
                 uncovered.end() ||
             std::find(covered.begin(), covered.end(), f) != covered.end()) {
           break;
         }
         covered.push_back(f);
-        ++k;
       }
-      if (!TailMatchesOrder(def, covered.size(), order)) continue;
+      if (!TailMatchesOrder(*def, covered.size(), order)) continue;
       if (covered.empty() && (!needs_order_scan || have_order_scan)) {
         continue;  // contributes nothing
       }
       // Greedy: maximize covered equality fields; tie-break fewer segments.
       if (best == nullptr || covered.size() > best_covered.size() ||
           (covered.size() == best_covered.size() &&
-           def.segments.size() < best->segments.size())) {
-        best = &def;
+           def->segments.size() < best->segments.size())) {
+        best = def;
         best_covered = covered;
       }
     }
@@ -288,7 +282,7 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
       os << " (console: firestore-repro://indexes/create)";
       return FailedPreconditionError(os.str());
     }
-    selected.push_back({*best, best_covered});
+    selected.push_back({best, best_covered});
     for (const FieldPath& f : best_covered) {
       uncovered.erase(std::find(uncovered.begin(), uncovered.end(), f));
     }
@@ -339,20 +333,14 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
   };
 
   for (const Selected& sel : selected) {
+    const IndexDefinition& def = *sel.def;
     IndexScan scan;
-    scan.index_id = sel.def.index_id;
-    scan.description = DescribeScan(sel.def);
-    std::string prefix =
-        index::IndexKeyPrefix(database_id, sel.def.index_id);
-    if (sel.def.segments.size() == 1 &&
-        sel.def.segments[0].kind == SegmentKind::kArrayContains) {
+    scan.index_id = def.index_id;
+    scan.description = def.DebugString();
+    std::string prefix = index::IndexKeyPrefix(database_id, def.index_id);
+    if (sel.contains != nullptr) {
       // Point prefix on the element value.
-      const FieldFilter* filter = nullptr;
-      for (const FieldFilter* f : contains) {
-        if (f->field == sel.def.segments[0].field) filter = f;
-      }
-      FS_CHECK(filter != nullptr);
-      codec::AppendValueAsc(prefix, filter->value);
+      codec::AppendValueAsc(prefix, sel.contains->value);
       // AC scans have an empty order suffix; only a cursor can bound them.
       scan.start_key = prefix + order_bounds.start;
       scan.limit_key = PrefixSuccessor(prefix);
@@ -361,8 +349,8 @@ StatusOr<QueryPlan> PlanQuery(IndexCatalog& catalog,
       continue;
     }
     for (size_t i = 0; i < sel.covered.size(); ++i) {
-      const Value& v = value_for_equality(sel.def.segments[i].field);
-      if (sel.def.segments[i].kind == SegmentKind::kDescending) {
+      const Value& v = value_for_equality(def.segments[i].field);
+      if (def.segments[i].kind == SegmentKind::kDescending) {
         codec::AppendValueDesc(prefix, v);
       } else {
         codec::AppendValueAsc(prefix, v);

@@ -52,13 +52,17 @@ struct QueryPlan {
   std::string DebugString() const;
 };
 
-// Plans `query` against the active indexes of its collection. May lazily
-// materialize automatic index definitions. Fails with FAILED_PRECONDITION
-// (message mirrors Firestore's "add the required index" error) when no index
-// set can serve the query.
-StatusOr<QueryPlan> PlanQuery(index::IndexCatalog& catalog,
-                              std::string_view database_id,
-                              const Query& query);
+// Plans `query` against the active indexes of its collection in `catalog`,
+// leaving out any index that became whole after `read_ts` (a read at the
+// latest version passes no bound). Fails with FAILED_PRECONDITION (message
+// mirrors Firestore's "add the required index" error) when no index set can
+// serve the query, and when the query may use automatic indexes that
+// `catalog` has not materialized: those are appended to `*missing` (when
+// given), for the caller to materialize and plan again.
+StatusOr<QueryPlan> PlanQuery(
+    const index::CatalogSnapshot& catalog, std::string_view database_id,
+    const Query& query, spanner::Timestamp read_ts = spanner::kMaxTimestamp,
+    std::vector<index::AutoIndexKey>* missing = nullptr);
 
 }  // namespace firestore::query
 

@@ -155,10 +155,8 @@ Status FirestoreService::AddFieldExemption(const std::string& database_id,
                                            const std::string& collection_id,
                                            const model::FieldPath& field) {
   ASSIGN_OR_RETURN(TenantView view, GetTenant(database_id));
-  view.tenant->catalog.AddExemption(collection_id, field);
-  return backfill_.RemoveExemptedFieldEntries(view.tenant->catalog,
-                                              database_id, collection_id,
-                                              field);
+  return backfill_.ExemptField(view.tenant->catalog, database_id,
+                               collection_id, field);
 }
 
 StatusOr<index::IndexId> FirestoreService::CreateCompositeIndex(

@@ -16,11 +16,16 @@
 #include <vector>
 
 #include "backend/types.h"
+#include "backend/validation.h"
 #include "common/clock.h"
 #include "common/thread_annotations.h"
+#include "common/retry.h"
+#include "firestore/codec/ordered_code.h"
 #include "firestore/index/layout.h"
 #include "firestore/model/document.h"
+#include "firestore/query/ab_compare.h"
 #include "firestore/query/query.h"
+#include "firestore/query/row_reader.h"
 #include "service/service.h"
 #include "spanner/lock_manager.h"
 #include "tests/test_support.h"
@@ -33,6 +38,7 @@ using model::Map;
 using model::Value;
 using query::Query;
 using ::firestore::testing::CounterValue;
+using ::firestore::testing::Field;
 using ::firestore::testing::Path;
 
 // Threads per role. One physical core is assumed; the point is interleaving
@@ -495,6 +501,174 @@ TEST(ServiceStressTest, AdminChangesRaceRequests) {
   EXPECT_GT(pumps, 0);
   EXPECT_GT(snapshots.load(), 1);
   EXPECT_EQ(listen_errors.load(), 0);
+}
+
+// Index administration races requests: a composite index is created and
+// dropped over and over and fields are exempted while committers write and
+// queriers read, strongly and at older timestamps. Every query served must
+// equal a brute-force evaluation at its read timestamp, whichever index
+// definitions its plan saw; afterwards the index must hold every entry its
+// documents need. Run under TSan: requests read catalog snapshots that the
+// admin plane replaces.
+TEST(ServiceStressTest, IndexAdminRacesRequests) {
+  ManualClock clock(1'000'000'000);
+  service::FirestoreService service(&clock);
+  constexpr char kDb[] = "projects/p/databases/d";
+  FS_CHECK_OK(service.CreateDatabase(kDb));
+  constexpr int kDocs = 24;
+  constexpr int kExemptFields = 3;
+  auto doc_fields = [](int seed) {
+    Map fields = {{"a", Value::Integer(seed % 3)},
+                  {"b", Value::Integer(seed % 4)},
+                  {"c", Value::Integer(seed % 5)}};
+    fields["x" + std::to_string(seed % kExemptFields)] = Value::Integer(seed);
+    return fields;
+  };
+  for (int i = 0; i < kDocs; ++i) {
+    FS_CHECK(service
+                 .Commit(kDb, {Mutation::Set(Path("/r/d" + std::to_string(i)),
+                                             doc_fields(i))})
+                 .ok());
+  }
+
+  std::atomic<int> served{0};
+  std::atomic<int> stale_served{0};
+  std::atomic<spanner::Timestamp> last_commit_ts{
+      service.spanner().StrongReadTimestamp()};
+  std::atomic<int> running{0};
+  std::vector<std::thread> threads;
+  auto spawn = [&](auto body) {
+    running.fetch_add(1);
+    threads.emplace_back([&, body] {
+      body();
+      running.fetch_sub(1);
+    });
+  };
+
+  // Retries a retryable admin or commit failure (a backfill batch or a
+  // commit can lose a lock conflict); any other failure fails the test.
+  auto until_done = [&](auto call) {
+    while (true) {
+      auto result = call();
+      if (result.ok()) return result;
+      EXPECT_TRUE(IsRetryableWriteStatus(result.status()))
+          << result.status();
+      if (!IsRetryableWriteStatus(result.status())) return result;
+    }
+  };
+  spawn([&] {
+    for (int round = 0; round < 12; ++round) {
+      auto id = until_done([&] {
+        return service.CreateCompositeIndex(
+            kDb, "r",
+            {{Field("a"), index::SegmentKind::kAscending},
+             {Field("b"), index::SegmentKind::kAscending}});
+      });
+      if (round < kExemptFields) {
+        const std::string field = "x" + std::to_string(round);
+        EXPECT_TRUE(until_done([&]() -> StatusOr<bool> {
+                      RETURN_IF_ERROR(
+                          service.AddFieldExemption(kDb, "r", Field(field)));
+                      return true;
+                    }).ok());
+      }
+      std::this_thread::yield();
+      if (!id.ok()) continue;
+      EXPECT_TRUE(until_done([&]() -> StatusOr<bool> {
+                    RETURN_IF_ERROR(service.DropIndex(kDb, *id));
+                    return true;
+                  }).ok());
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) {
+    spawn([&, w] {
+      for (int i = 0; i < 100; ++i) {
+        const int seed = w * 1000 + i * 7;
+        auto put = until_done([&] {
+          return service.Commit(
+              kDb, {Mutation::Set(Path("/r/d" + std::to_string(seed % kDocs)),
+                                  doc_fields(seed))});
+        });
+        if (put.ok()) last_commit_ts.store(put->commit_ts);
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    spawn([&, r] {
+      for (int i = 0; i < 100; ++i) {
+        const int64_t v = (r + i) % 3;
+        Query q(model::ResourcePath(), "r");
+        switch (i % 4) {
+          case 0:  // zig-zag of two automatic indexes, or the composite
+            q.Where(Field("a"), query::Operator::kEqual, Value::Integer(v))
+                .Where(Field("b"), query::Operator::kEqual,
+                       Value::Integer(i % 4));
+            break;
+          case 1:  // the composite only
+            q.Where(Field("a"), query::Operator::kEqual, Value::Integer(v))
+                .OrderByField(Field("b"));
+            break;
+          case 2:
+            q.Where(Field("c"), query::Operator::kGreaterThan,
+                    Value::Integer(v))
+                .Limit(5);
+            break;
+          default:  // an automatic index that an exemption may remove
+            q.Where(Field("x" + std::to_string(i % kExemptFields)),
+                    query::Operator::kGreaterThanOrEqual, Value::Integer(0));
+            break;
+        }
+        // Every other query reads at an older timestamp, which may come
+        // before a composite index became whole.
+        const bool stale = i % 2 == 1;
+        auto run = service.RunQuery(kDb, q, stale ? last_commit_ts.load() : 0);
+        if (!run.ok()) {
+          // Served by no index at that timestamp (no composite, or an
+          // exempted field): a refusal, never a wrong answer.
+          EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition)
+              << q.CanonicalString() << ": " << run.status();
+          continue;
+        }
+        query::SnapshotRowReader reader(&service.spanner(), run->read_ts);
+        auto expected = query::ReferenceEvaluate(reader, kDb, q);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        EXPECT_EQ(run->result.documents, *expected)
+            << q.CanonicalString() << " via " << run->plan_description
+            << " at " << run->read_ts;
+        served.fetch_add(1);
+        if (stale) stale_served.fetch_add(1);
+      }
+    });
+  }
+  // Virtual time advances 1 ms per pump and no faster than real time, so
+  // one slow commit cannot outlive the committer's commit-timestamp margin.
+  while (running.load() > 0) {
+    clock.AdvanceBy(1'000);
+    service.Pump();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_GT(served.load(), 0);
+  EXPECT_GT(stale_served.load(), 0);
+  backend::DataValidationService validator(&service.spanner());
+  std::shared_ptr<const index::CatalogSnapshot> catalog =
+      service.catalog(kDb)->Snapshot();
+  auto report = validator.ValidateDatabase(kDb, *catalog);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->missing_entries.empty()) << report->Summary();
+  EXPECT_TRUE(report->corrupt_documents.empty()) << report->Summary();
+  // A commit whose catalog snapshot still had an index that DropIndex or an
+  // exemption then removed can write that index's entries after the
+  // backremoval passed them. Such orphans lie under ids the catalog no
+  // longer has, where no query reads; one under a live index is an error.
+  for (const std::string& key : report->orphan_entries) {
+    std::string_view rest = key;
+    std::string db;
+    index::IndexId id = 0;
+    ASSERT_TRUE(codec::ParseBytes(&rest, &db) && codec::ParseInt64(&rest, &id));
+    EXPECT_EQ(catalog->Find(id), nullptr) << "orphan under live index " << id;
+  }
 }
 
 }  // namespace

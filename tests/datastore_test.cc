@@ -183,8 +183,8 @@ TEST_P(ABCompareTest, PlannerAgreesWithReferenceOnRandomQueries) {
     if (rng.Bernoulli(0.3)) q.Limit(rng.Uniform(1, 10));
     if (rng.Bernoulli(0.2)) q.Offset(rng.Uniform(0, 5));
     if (rng.Bernoulli(0.2)) q.Project({Field("x")});
-    auto report = query::ABCompareQuery(*service.catalog(kDb), reader, kDb,
-                                        q);
+    auto report = query::ABCompareQuery(*service.catalog(kDb)->Snapshot(),
+                                        reader, kDb, q);
     if (!report.ok()) {
       // Only a missing composite index is acceptable.
       ASSERT_EQ(report.status().code(), StatusCode::kFailedPrecondition)

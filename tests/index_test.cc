@@ -9,6 +9,7 @@
 #include "firestore/index/catalog.h"
 #include "firestore/index/extractor.h"
 #include "firestore/index/layout.h"
+#include "firestore/query/query.h"
 #include "tests/test_support.h"
 
 namespace firestore::index {
@@ -21,6 +22,15 @@ using model::Value;
 using testing::Field;
 using testing::Path;
 using testing::TestTenant;
+
+// The entries of `doc` in database "db", after materializing the automatic
+// indexes it needs the way a commit does.
+std::vector<std::string> Entries(IndexCatalog& catalog, const Document& doc) {
+  std::vector<AutoIndexKey> missing;
+  ComputeIndexEntries(*catalog.Snapshot(), "db", doc, &missing);
+  return ComputeIndexEntries(*catalog.MaterializeAutoIndexes(missing), "db",
+                             doc);
+}
 
 // ---------------------------------------------------------------------------
 // Layout
@@ -76,11 +86,11 @@ TEST(LayoutTest, IndexEntryNameBytesSpliceIntoEntityKey) {
     doc.SetField(Field("rating"), Value::Double(4.5));
     doc.SetField(Field("tags"),
                  Value::FromArray({Value::String("bbq"), Value::Integer(7)}));
-    const std::vector<std::string> keys =
-        ComputeIndexEntries(catalog, "db", doc);
+    const std::vector<std::string> keys = Entries(catalog, doc);
     std::set<SegmentKind> kinds;
     int spliced = 0;
-    for (const IndexDefinition& def : catalog.AllIndexes()) {
+    std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
+    for (const auto& [id, def] : snapshot->indexes) {
       std::vector<bool> descending;
       for (const IndexSegment& segment : def.segments) {
         descending.push_back(segment.kind == SegmentKind::kDescending);
@@ -112,35 +122,39 @@ TEST(LayoutTest, IndexEntryNameBytesSpliceIntoEntityKey) {
 // ---------------------------------------------------------------------------
 // Catalog
 
+// Materializes one automatic index and returns its id (0 if exempted).
+IndexId AutoIndex(IndexCatalog& catalog, const std::string& collection,
+                  const std::string& field, SegmentKind kind) {
+  return catalog.MaterializeAutoIndexes({{collection, Field(field), kind}})
+      ->AutoIndexId(collection, field, kind);
+}
+
 TEST(CatalogTest, AutoIndexIsStableAndLazy) {
   IndexCatalog catalog;
-  auto a1 = catalog.AutoIndex("restaurants", Field("city"),
-                              SegmentKind::kAscending);
-  auto a2 = catalog.AutoIndex("restaurants", Field("city"),
-                              SegmentKind::kAscending);
-  ASSERT_TRUE(a1.has_value());
-  EXPECT_EQ(a1->index_id, a2->index_id);
-  auto d = catalog.AutoIndex("restaurants", Field("city"),
-                             SegmentKind::kDescending);
-  EXPECT_NE(a1->index_id, d->index_id);
-  auto other = catalog.AutoIndex("ratings", Field("city"),
-                                 SegmentKind::kAscending);
-  EXPECT_NE(a1->index_id, other->index_id);
+  EXPECT_TRUE(catalog.Snapshot()->indexes.empty());
+  IndexId a1 =
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kAscending);
+  IndexId a2 =
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kAscending);
+  ASSERT_NE(a1, 0);
+  EXPECT_EQ(a1, a2);
+  IndexId d =
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kDescending);
+  EXPECT_NE(a1, d);
+  IndexId other =
+      AutoIndex(catalog, "ratings", "city", SegmentKind::kAscending);
+  EXPECT_NE(a1, other);
 }
 
 TEST(CatalogTest, ExemptionBlocksAutoIndex) {
   IndexCatalog catalog;
   catalog.AddExemption("restaurants", Field("blob"));
-  EXPECT_TRUE(catalog.IsExempted("restaurants", Field("blob")));
-  EXPECT_FALSE(catalog
-                   .AutoIndex("restaurants", Field("blob"),
-                              SegmentKind::kAscending)
-                   .has_value());
+  EXPECT_TRUE(catalog.Snapshot()->IsExempted("restaurants", "blob"));
+  EXPECT_EQ(
+      AutoIndex(catalog, "restaurants", "blob", SegmentKind::kAscending), 0);
   // Other fields unaffected.
-  EXPECT_TRUE(catalog
-                  .AutoIndex("restaurants", Field("city"),
-                             SegmentKind::kAscending)
-                  .has_value());
+  EXPECT_NE(
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kAscending), 0);
 }
 
 TEST(CatalogTest, CompositeIndexLifecycle) {
@@ -151,12 +165,42 @@ TEST(CatalogTest, CompositeIndexLifecycle) {
        {Field("avgRating"), SegmentKind::kDescending}},
       IndexState::kBackfilling);
   ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(catalog.ActiveIndexes("restaurants").empty());
-  EXPECT_EQ(catalog.MaintainedIndexes("restaurants").size(), 1u);
+  EXPECT_TRUE(catalog.Snapshot()->ActiveIndexes("restaurants").empty());
+  EXPECT_EQ(catalog.Snapshot()->MaintainedComposites("restaurants").size(),
+            1u);
   ASSERT_TRUE(catalog.SetIndexState(*id, IndexState::kActive).ok());
-  EXPECT_EQ(catalog.ActiveIndexes("restaurants").size(), 1u);
+  EXPECT_EQ(catalog.Snapshot()->ActiveIndexes("restaurants").size(), 1u);
   ASSERT_TRUE(catalog.RemoveIndex(*id).ok());
-  EXPECT_TRUE(catalog.AllIndexes().empty());
+  EXPECT_TRUE(catalog.Snapshot()->indexes.empty());
+}
+
+// A snapshot is immutable: a change publishes a new one and leaves the view
+// an in-flight request took as it was.
+TEST(CatalogTest, SnapshotKeepsItsViewAcrossChanges) {
+  IndexCatalog catalog;
+  auto first = catalog.AddCompositeIndex(
+      "r", {{Field("a"), SegmentKind::kAscending}}, IndexState::kActive);
+  ASSERT_TRUE(first.ok());
+  std::shared_ptr<const CatalogSnapshot> before = catalog.Snapshot();
+  auto second = catalog.AddCompositeIndex(
+      "r", {{Field("b"), SegmentKind::kAscending}}, IndexState::kBackfilling);
+  ASSERT_TRUE(second.ok());
+  catalog.AddExemption("r", Field("c"));
+  ASSERT_TRUE(catalog.SetIndexState(*first, IndexState::kRemoving).ok());
+
+  std::vector<const IndexDefinition*> maintained =
+      before->MaintainedComposites("r");
+  ASSERT_EQ(maintained.size(), 1u);
+  EXPECT_EQ(maintained[0]->index_id, *first);
+  EXPECT_EQ(maintained[0]->state, IndexState::kActive);
+  EXPECT_EQ(before->Find(*second), nullptr);
+  EXPECT_FALSE(before->IsExempted("r", "c"));
+
+  std::shared_ptr<const CatalogSnapshot> after = catalog.Snapshot();
+  EXPECT_EQ(after->MaintainedComposites("r").size(), 2u);
+  EXPECT_EQ(after->Find(*first)->state, IndexState::kRemoving);
+  EXPECT_TRUE(after->IsExempted("r", "c"));
+  EXPECT_EQ(after->version, before->version + 3);
 }
 
 TEST(CatalogTest, DuplicateCompositeRejected) {
@@ -210,7 +254,7 @@ TEST(ExtractorTest, FlattenNestedMaps) {
 TEST(ExtractorTest, TwoEntriesPerScalarField) {
   IndexCatalog catalog;
   Document doc = RestaurantDoc();  // 3 scalar fields
-  auto keys = ComputeIndexEntries(catalog, "db", doc);
+  auto keys = Entries(catalog, doc);
   EXPECT_EQ(keys.size(), 6u);  // asc + desc each
 }
 
@@ -220,7 +264,7 @@ TEST(ExtractorTest, ArrayProducesContainsEntries) {
   doc.SetField(Field("tags"),
                Value::FromArray({Value::String("bbq"), Value::String("tex"),
                                  Value::String("bbq")}));
-  auto keys = ComputeIndexEntries(catalog, "db", doc);
+  auto keys = Entries(catalog, doc);
   // asc + desc on the whole array, plus 2 distinct contains entries
   // (duplicate elements dedupe to one key).
   EXPECT_EQ(keys.size(), 4u);
@@ -232,7 +276,7 @@ TEST(ExtractorTest, ExemptedFieldProducesNoEntries) {
   Document doc(Path("/c/d"), {});
   doc.SetField(Field("payload"), Value::String("big"));
   doc.SetField(Field("kept"), Value::Integer(1));
-  auto keys = ComputeIndexEntries(catalog, "db", doc);
+  auto keys = Entries(catalog, doc);
   EXPECT_EQ(keys.size(), 2u);  // only `kept` asc+desc
 }
 
@@ -244,7 +288,9 @@ TEST(ExtractorTest, CompositeEntryRequiresAllFields) {
        {Field("avgRating"), SegmentKind::kDescending}},
       IndexState::kActive);
   ASSERT_TRUE(id.ok());
-  auto def = catalog.GetIndex(*id);
+  std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
+  const IndexDefinition* def = snapshot->Find(*id);
+  ASSERT_NE(def, nullptr);
   EXPECT_EQ(ComputeEntriesForIndex(*def, "db", RestaurantDoc()).size(), 1u);
   Document missing(Path("/restaurants/two"),
                    {{"city", Value::String("SF")}});
@@ -265,11 +311,12 @@ void CheckIndexConsistency(TestTenant& t) {
       kEntitiesTable, "", "", t.spanner().StrongReadTimestamp());
   ASSERT_TRUE(entities.ok());
   std::set<std::string> expected;
+  std::shared_ptr<const CatalogSnapshot> catalog = t.catalog().Snapshot();
   for (const auto& row : *entities) {
     auto doc = codec::ParseDocument(row.value);
     ASSERT_TRUE(doc.ok());
     for (const std::string& key :
-         ComputeIndexEntries(t.catalog(), t.id(), *doc)) {
+         ComputeIndexEntries(*catalog, t.id(), *doc)) {
       expected.insert(key);
     }
   }
@@ -338,8 +385,9 @@ TEST(BackfillTest, CreateIndexBackfillsExistingDocuments) {
        {Field("avgRating"), SegmentKind::kDescending}},
       /*batch_size=*/3);
   ASSERT_TRUE(id.ok());
-  auto def = t.catalog().GetIndex(*id);
-  ASSERT_TRUE(def.has_value());
+  std::shared_ptr<const CatalogSnapshot> snapshot = t.catalog().Snapshot();
+  const IndexDefinition* def = snapshot->Find(*id);
+  ASSERT_NE(def, nullptr);
   EXPECT_EQ(def->state, IndexState::kActive);
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)),
             10);
@@ -369,6 +417,75 @@ TEST(BackfillTest, WritesDuringBackfillStayConformant) {
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)), 0);
 }
 
+// A query reading below the timestamp an index became whole at must not
+// plan on it: the backfill wrote the older documents' entries after it.
+TEST(BackfillTest, QueryBelowActivationSkipsNewIndex) {
+  TestTenant t;
+  spanner::Timestamp ts = 0;
+  for (int i = 0; i < 6; ++i) {
+    ts = t.Put("/r/d" + std::to_string(i), {{"a", Value::Integer(i % 2)},
+                                            {"b", Value::Integer(i % 3)}});
+  }
+  query::Query q(model::ResourcePath(), "r");
+  q.Where(Field("a"), query::Operator::kEqual, Value::Integer(0))
+      .Where(Field("b"), query::Operator::kEqual, Value::Integer(0));
+  auto before = t.Run(q, ts);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->result.documents.size(), 1u);
+  EXPECT_EQ(before->plan_description.rfind("zigzag-join(", 0), 0u);
+
+  auto id = t.backfill().CreateIndex(t.catalog(), t.id(), "r",
+                                     {{Field("a"), SegmentKind::kAscending},
+                                      {Field("b"), SegmentKind::kAscending}});
+  ASSERT_TRUE(id.ok());
+  auto at_ts = t.Run(q, ts);
+  ASSERT_TRUE(at_ts.ok()) << at_ts.status();
+  ASSERT_EQ(at_ts->result.documents.size(), 1u);
+  EXPECT_EQ(at_ts->result.documents[0].name().CanonicalString(), "/r/d0");
+  EXPECT_EQ(at_ts->plan_description, before->plan_description);
+
+  // A strong read after the backfill plans on the new index.
+  auto strong = t.Run(q);
+  ASSERT_TRUE(strong.ok()) << strong.status();
+  ASSERT_EQ(strong->result.documents.size(), 1u);
+  EXPECT_EQ(strong->plan_description.rfind("index#" + std::to_string(*id), 0),
+            0u);
+}
+
+// A commit takes one catalog snapshot; on a warm catalog it publishes none.
+TEST(CatalogTest, WarmCommitPublishesNoSnapshot) {
+  TestTenant t;
+  t.Put("/r/one", {{"a", Value::Integer(1)}, {"tags", Value::FromArray({})}});
+  std::shared_ptr<const CatalogSnapshot> warm = t.catalog().Snapshot();
+  t.Put("/r/one", {{"a", Value::Integer(2)},
+                   {"tags", Value::FromArray({Value::Integer(1)})}});
+  t.Put("/r/two", {{"a", Value::Integer(3)}});
+  t.Delete("/r/one");
+  EXPECT_EQ(t.catalog().Snapshot(), warm);
+}
+
+// A document with new fields materializes all their automatic indexes with
+// one publication, allocating ids per field in document order, ascending
+// before descending.
+TEST(CatalogTest, NewFieldsPublishOneSnapshot) {
+  TestTenant t;
+  t.Put("/r/one", {{"a", Value::Integer(1)}});
+  std::shared_ptr<const CatalogSnapshot> before = t.catalog().Snapshot();
+  t.Put("/r/two", {{"a", Value::Integer(2)},
+                   {"b", Value::Integer(2)},
+                   {"c", Value::Integer(2)},
+                   {"d", Value::Integer(2)}});
+  std::shared_ptr<const CatalogSnapshot> after = t.catalog().Snapshot();
+  EXPECT_EQ(after->version, before->version + 1);
+  IndexId next = before->next_id;
+  for (const char* field : {"b", "c", "d"}) {
+    EXPECT_EQ(after->AutoIndexId("r", field, SegmentKind::kAscending), next++);
+    EXPECT_EQ(after->AutoIndexId("r", field, SegmentKind::kDescending),
+              next++);
+  }
+  EXPECT_EQ(after->next_id, next);
+}
+
 TEST(BackfillTest, DropIndexRemovesEntries) {
   TestTenant t;
   for (int i = 0; i < 5; ++i) {
@@ -384,20 +501,23 @@ TEST(BackfillTest, DropIndexRemovesEntries) {
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)), 5);
   ASSERT_TRUE(t.backfill().DropIndex(t.catalog(), t.id(), *id, 2).ok());
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)), 0);
-  EXPECT_FALSE(t.catalog().GetIndex(*id).has_value());
+  EXPECT_EQ(t.catalog().Snapshot()->Find(*id), nullptr);
   CheckIndexConsistency(t);
 }
 
 TEST(BackfillTest, ExemptionRemovesExistingAutoEntries) {
   TestTenant t;
   t.Put("/r/one", {{"big", Value::String("x")}, {"keep", Value::Integer(1)}});
-  auto ids = t.catalog().ExistingAutoIndexIds("r", Field("big"));
+  std::vector<IndexId> ids;
+  for (SegmentKind kind : {SegmentKind::kAscending, SegmentKind::kDescending,
+                           SegmentKind::kArrayContains}) {
+    IndexId id = t.catalog().Snapshot()->AutoIndexId("r", "big", kind);
+    if (id != 0) ids.push_back(id);
+  }
   ASSERT_EQ(ids.size(), 2u);  // asc + desc were materialized by the write
-  t.catalog().AddExemption("r", Field("big"));
-  ASSERT_TRUE(t.backfill()
-                  .RemoveExemptedFieldEntries(t.catalog(), t.id(), "r",
-                                              Field("big"))
-                  .ok());
+  ASSERT_TRUE(
+      t.backfill().ExemptField(t.catalog(), t.id(), "r", Field("big")).ok());
+  EXPECT_TRUE(t.catalog().Snapshot()->IsExempted("r", "big"));
   for (IndexId id : ids) {
     EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), id)),
               0);

@@ -640,9 +640,11 @@ TEST(QueryWalkerTest, LimitedSingleScansFetchOnlyTheRowsTheyUse) {
   // shorten it: the walk still fills the limit, and locks only the rows of
   // the one page it read plus the documents it fetched.
   const Query limited = eq("a", "x").Limit(20);
-  const std::optional<index::IndexDefinition> a_index =
-      t.catalog().AutoIndex("items", Field("a"), SegmentKind::kAscending);
-  ASSERT_TRUE(a_index.has_value());
+  std::shared_ptr<const index::CatalogSnapshot> catalog =
+      t.catalog().Snapshot();
+  const index::IndexDefinition* a_index = catalog->Find(
+      catalog->AutoIndexId("items", "a", SegmentKind::kAscending));
+  ASSERT_NE(a_index, nullptr);
   auto txn = t.spanner().BeginTransaction();
   std::erase_if(corpus, [&](const model::Document& doc) {
     const std::string& name = doc.name().CanonicalString();

@@ -153,10 +153,12 @@ TEST(CatalogConcurrencyTest, ParallelAutoIndexGetsOneStableId) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
-        auto def = catalog.AutoIndex("col", Field("field"),
-                                     index::SegmentKind::kAscending);
-        FS_CHECK(def.has_value());
-        ids[t] = def->index_id;
+        ids[t] = catalog
+                     .MaterializeAutoIndexes({{"col", Field("field"),
+                                               index::SegmentKind::kAscending}})
+                     ->AutoIndexId("col", "field",
+                                   index::SegmentKind::kAscending);
+        FS_CHECK(ids[t] != 0);
       }
     });
   }
@@ -164,7 +166,8 @@ TEST(CatalogConcurrencyTest, ParallelAutoIndexGetsOneStableId) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
   // Exactly one asc index exists.
   int asc_count = 0;
-  for (const auto& def : catalog.AllIndexes()) {
+  std::shared_ptr<const index::CatalogSnapshot> snapshot = catalog.Snapshot();
+  for (const auto& [id, def] : snapshot->indexes) {
     if (def.automatic &&
         def.segments[0].kind == index::SegmentKind::kAscending) {
       ++asc_count;

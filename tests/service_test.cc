@@ -10,6 +10,7 @@
 #include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "firestore/codec/value_codec.h"
 #include "service/global_router.h"
 #include "service/service.h"
 #include "tests/test_support.h"
@@ -663,7 +664,8 @@ TEST_F(ServiceTest, ValidationCleanDatabase) {
   ASSERT_TRUE(
       service_.Commit(kDb, {Mutation::Delete(Path("/r/doc3"))}).ok());
   backend::DataValidationService validator(&service_.spanner());
-  auto report = validator.ValidateDatabase(kDb, *service_.catalog(kDb));
+  auto report =
+      validator.ValidateDatabase(kDb, *service_.catalog(kDb)->Snapshot());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->Summary();
   EXPECT_EQ(report->documents_checked, 9);
@@ -684,11 +686,41 @@ TEST_F(ServiceTest, ValidationDetectsOrphanAndMissingEntries) {
   txn->Delete(index::kIndexEntriesTable, (*entries)[0].key);
   txn->Put(index::kIndexEntriesTable, (*entries)[0].key + "bogus", "");
   ASSERT_TRUE(txn->Commit().ok());
-  auto report = validator.ValidateDatabase(kDb, *service_.catalog(kDb));
+  auto report =
+      validator.ValidateDatabase(kDb, *service_.catalog(kDb)->Snapshot());
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->clean());
   EXPECT_EQ(report->missing_entries.size(), 1u);
   EXPECT_EQ(report->orphan_entries.size(), 1u);
+}
+
+// A validation pass reads one catalog snapshot: entries of an index it does
+// not know yet, materialized by a later write, are neither orphans nor
+// expected, while a field it knows still counts strictly.
+TEST_F(ServiceTest, ValidationSkipsIndexesNewerThanItsSnapshot) {
+  Put("/r/one", {{"a", Value::Integer(1)}});
+  std::shared_ptr<const index::CatalogSnapshot> before =
+      service_.catalog(kDb)->Snapshot();
+  Put("/r/two", {{"a", Value::Integer(2)}, {"fresh", Value::Integer(2)}});
+  backend::DataValidationService validator(&service_.spanner());
+  auto report = validator.ValidateDatabase(kDb, *before);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->Summary();
+  EXPECT_EQ(report->index_entries_checked, 6);  // a x2 docs x2, fresh x2
+
+  // Take one `a` entry away: the old snapshot still reports it missing.
+  auto txn = service_.spanner().BeginTransaction();
+  const index::IndexId a_asc =
+      before->AutoIndexId("r", "a", index::SegmentKind::kAscending);
+  txn->Delete(index::kIndexEntriesTable,
+              index::IndexEntryKey(kDb, a_asc,
+                                   codec::EncodeValueAsc(Value::Integer(2)),
+                                   Path("/r/two")));
+  ASSERT_TRUE(txn->Commit().ok());
+  report = validator.ValidateDatabase(kDb, *before);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->missing_entries.size(), 1u) << report->Summary();
+  EXPECT_TRUE(report->orphan_entries.empty()) << report->Summary();
 }
 
 TEST_F(ServiceTest, ValidationDetectsCorruptDocument) {
@@ -698,7 +730,8 @@ TEST_F(ServiceTest, ValidationDetectsCorruptDocument) {
            index::EntityKey(kDb, Path("/r/doc")), "garbage-bytes");
   ASSERT_TRUE(txn->Commit().ok());
   backend::DataValidationService validator(&service_.spanner());
-  auto report = validator.ValidateDatabase(kDb, *service_.catalog(kDb));
+  auto report =
+      validator.ValidateDatabase(kDb, *service_.catalog(kDb)->Snapshot());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->corrupt_documents.size(), 1u);
 }
