@@ -64,9 +64,8 @@ int main() {
   }
 
   // --- A real-time query through the client SDK ---
-  client::FirestoreClient::Options options;
-  options.third_party = false;  // privileged demo client
-  client::FirestoreClient client(&service, db, rules::AuthContext{}, options);
+  // nullopt: a privileged (Server SDK) demo client.
+  client::FirestoreClient client(&service, db, std::nullopt);
 
   query::Query ca(model::ResourcePath(), "cities");
   ca.Where(model::FieldPath::Single("state"), query::Operator::kEqual,

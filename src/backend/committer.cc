@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/checksum.h"
 #include "common/fault_injection.h"
@@ -199,26 +198,29 @@ StatusOr<CommitResponse> Committer::CommitInternal(
     }
   }
 
-  // Step 2: read every touched document with an exclusive lock.
-  std::map<std::string, std::optional<Document>> state;   // by canonical name
-  std::map<std::string, std::optional<Document>> original;
-  std::map<std::string, ResourcePath> paths;
+  // Step 2: read every touched document with an exclusive lock, into one
+  // record per canonical name (the order of the changes).
+  struct Record {
+    const ResourcePath* name;
+    std::optional<Document> original, current;
+  };
+  std::map<std::string, Record> records;
+  std::vector<Record*> record_of(mutations.size());
   {
     FS_SPAN("backend.commit.read_set");
-    for (const Mutation& m : mutations) {
-      std::string key = m.name.CanonicalString();
-      if (state.count(key) != 0) continue;
+    for (size_t i = 0; i < mutations.size(); ++i) {
+      const ResourcePath& name = mutations[i].name;
+      auto [it, inserted] = records.try_emplace(name.CanonicalString());
+      record_of[i] = &it->second;
+      if (!inserted) continue;
       Timestamp version = 0;
       ASSIGN_OR_RETURN(
           spanner::RowValue row,
-          txn.Read(index::kEntitiesTable,
-                   index::EntityKey(database_id, m.name),
+          txn.Read(index::kEntitiesTable, index::EntityKey(database_id, name),
                    spanner::LockMode::kExclusive, &version));
       ASSIGN_OR_RETURN(std::optional<Document> doc,
                        codec::DecodeEntityRow(row, version));
-      state[key] = doc;
-      original[key] = std::move(doc);
-      paths.emplace(key, m.name);
+      it->second = {&name, doc, std::move(doc)};
     }
   }
 
@@ -236,9 +238,9 @@ StatusOr<CommitResponse> Committer::CommitInternal(
   };
 
   // Steps 2b-3: preconditions, security rules, new document states.
-  for (const Mutation& m : mutations) {
-    std::string key = m.name.CanonicalString();
-    std::optional<Document>& current = state[key];
+  for (size_t i = 0; i < mutations.size(); ++i) {
+    const Mutation& m = mutations[i];
+    std::optional<Document>& current = record_of[i]->current;
     ASSIGN_OR_RETURN(std::optional<Document> next,
                      ApplyMutation(m, current));
     if (rules != nullptr) {
@@ -264,9 +266,10 @@ StatusOr<CommitResponse> Committer::CommitInternal(
   CommitResponse response;
   std::vector<ResourcePath> names;
   int64_t writes = 0, deletes = 0, storage_delta = 0;
-  for (auto& [key, new_doc] : state) {
-    const std::optional<Document>& old_doc = original[key];
-    const ResourcePath& name = paths.at(key);
+  for (auto& [key, record] : records) {
+    std::optional<Document>& old_doc = record.original;
+    std::optional<Document>& new_doc = record.current;
+    const ResourcePath& name = *record.name;
     if (!old_doc.has_value() && !new_doc.has_value()) continue;  // no-op
     names.push_back(name);
 
@@ -321,8 +324,8 @@ StatusOr<CommitResponse> Committer::CommitInternal(
     DocumentChange change;
     change.name = name;
     change.deleted = !new_doc.has_value();
-    change.new_doc = new_doc;
-    change.old_doc = old_doc;
+    change.new_doc = std::move(new_doc);
+    change.old_doc = std::move(old_doc);
     // The commit's trace context travels with the change through the
     // realtime pipeline (Changelog buffer -> QueryMatcher -> Frontend), so
     // the async notification leg joins this trace.

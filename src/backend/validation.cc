@@ -1,14 +1,13 @@
 #include "backend/validation.h"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 
-#include "common/bytes.h"
 #include "firestore/codec/document_codec.h"
 #include "firestore/codec/ordered_code.h"
 #include "firestore/index/extractor.h"
 #include "firestore/index/layout.h"
+#include "firestore/query/row_reader.h"
 
 namespace firestore::backend {
 
@@ -44,54 +43,36 @@ StatusOr<ValidationReport> DataValidationService::ValidateDatabase(
   };
 
   // Recompute the expected entry set from the documents.
+  query::SnapshotRowReader reader(spanner_, snapshot_ts);
+  const std::string prefix = index::EntityKeyPrefixForDatabase(database_id);
   std::set<std::string> expected;
-  std::string start = index::EntityKeyPrefixForDatabase(database_id);
-  std::string limit = PrefixSuccessor(start);
-  std::string cursor = start;
-  while (true) {
-    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                     spanner_->SnapshotScan(index::kEntitiesTable, cursor,
-                                            limit, snapshot_ts, 256));
-    if (rows.empty()) break;
-    for (const spanner::ScanRow& row : rows) {
-      ++report.documents_checked;
-      StatusOr<model::Document> doc = codec::ParseDocument(row.value);
-      if (!doc.ok() || !doc->Validate().ok()) {
-        report.corrupt_documents.push_back(row.key);
-        continue;
-      }
-      for (std::string& key :
-           index::ComputeIndexEntries(catalog, database_id, *doc)) {
-        if (excluded(key)) continue;
-        expected.insert(std::move(key));
-      }
-    }
-    cursor = KeySuccessor(rows.back().key);
-  }
+  RETURN_IF_ERROR(query::ForEachRow(
+      reader, index::kEntitiesTable, prefix,
+      [&](const spanner::ScanRow& row) {
+        ++report.documents_checked;
+        StatusOr<model::Document> doc = codec::ParseDocument(row.value);
+        if (!doc.ok() || !doc->Validate().ok()) {
+          report.corrupt_documents.push_back(row.key);
+          return Status::Ok();
+        }
+        for (std::string& key :
+             index::ComputeIndexEntries(catalog, database_id, *doc)) {
+          if (!excluded(key)) expected.insert(std::move(key));
+        }
+        return Status::Ok();
+      }));
 
   // Diff against the actual IndexEntries contents.
-  cursor = start;
-  while (true) {
-    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                     spanner_->SnapshotScan(index::kIndexEntriesTable,
-                                            cursor, limit, snapshot_ts,
-                                            256));
-    if (rows.empty()) break;
-    for (const spanner::ScanRow& row : rows) {
-      ++report.index_entries_checked;
-      if (excluded(row.key)) continue;
-      auto it = expected.find(row.key);
-      if (it != expected.end()) {
-        expected.erase(it);
-      } else {
-        report.orphan_entries.push_back(row.key);
-      }
-    }
-    cursor = KeySuccessor(rows.back().key);
-  }
-  for (const std::string& key : expected) {
-    report.missing_entries.push_back(key);
-  }
+  RETURN_IF_ERROR(query::ForEachRow(
+      reader, index::kIndexEntriesTable, prefix,
+      [&](const spanner::ScanRow& row) {
+        ++report.index_entries_checked;
+        if (!excluded(row.key) && expected.erase(row.key) == 0) {
+          report.orphan_entries.push_back(row.key);
+        }
+        return Status::Ok();
+      }));
+  report.missing_entries.assign(expected.begin(), expected.end());
   return report;
 }
 

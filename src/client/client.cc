@@ -59,14 +59,15 @@ query::Query ServerWindow(query::Query q) { return q.Offset(0); }
 
 FirestoreClient::FirestoreClient(service::FirestoreService* service,
                                  std::string database_id,
-                                 rules::AuthContext auth, Options options)
+                                 std::optional<rules::AuthContext> auth,
+                                 Options options)
     : service_(service),
       database_id_(std::move(database_id)),
       auth_(std::move(auth)),
       options_(options) {
   connection_ =
-      options_.third_party
-          ? service_->frontend().OpenConnection(database_id_, auth_)
+      auth_.has_value()
+          ? service_->frontend().OpenConnection(database_id_, *auth_)
           : service_->frontend().OpenPrivilegedConnection(database_id_);
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,18 +56,17 @@ class ClientTransaction {
 class FirestoreClient {
  public:
   struct Options {
-    // When false, security rules are bypassed (Server SDK behavior); when
-    // true the client is a third-party end-user device.
-    bool third_party = true;
     // Persist the local cache across Restart() (end-user privacy choice,
     // paper §IV-E).
     bool persist_cache = true;
   };
 
+  // `auth` is the end user of a third-party device, checked against the
+  // tenant's security rules; nullopt makes a Server SDK client (no rules).
   FirestoreClient(service::FirestoreService* service, std::string database_id,
-                  rules::AuthContext auth, Options options);
+                  std::optional<rules::AuthContext> auth, Options options);
   FirestoreClient(service::FirestoreService* service, std::string database_id,
-                  rules::AuthContext auth = {})
+                  std::optional<rules::AuthContext> auth = rules::AuthContext{})
       : FirestoreClient(service, std::move(database_id), std::move(auth),
                         Options()) {}
   ~FirestoreClient();
@@ -153,12 +153,12 @@ class FirestoreClient {
   Status FlushQueue();  // FlushPending's loop
   // The end user every request runs as; null for a Server SDK client.
   const rules::AuthContext* end_user() const {
-    return options_.third_party ? &auth_ : nullptr;
+    return auth_.has_value() ? &*auth_ : nullptr;
   }
 
   service::FirestoreService* service_;
   std::string database_id_;
-  rules::AuthContext auth_;
+  std::optional<rules::AuthContext> auth_;
   Options options_;
   bool online_ = true;
   LocalStore store_;

@@ -4,13 +4,17 @@
 // additions or removals in Spanner, and finally marks the index change as
 // complete."
 //
+// A drop, an exemption and a failed backfill's rollback all remove indexes
+// the same way (RemoveIndexes), so a rolled-back backfill leaves nothing.
 // Concurrent writes stay conformant because the write path maintains entries
-// for every index in a maintained state (kBackfilling / kRemoving included).
+// for every composite index in a maintained state (kBackfilling / kRemoving
+// included).
 
 #ifndef FIRESTORE_INDEX_BACKFILL_H_
 #define FIRESTORE_INDEX_BACKFILL_H_
 
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "firestore/index/catalog.h"
@@ -27,33 +31,32 @@ class IndexBackfillService {
   // scans the database's Entities rows in batches, writes the IndexEntries
   // rows transactionally, then activates the index as of the current strong
   // read timestamp (queries reading earlier do not use it). Returns the new
-  // id.
+  // id. If the backfill fails, the index is removed again.
   StatusOr<IndexId> CreateIndex(IndexCatalog& catalog,
                                 std::string_view database_id,
                                 const std::string& collection_id,
-                                std::vector<IndexSegment> segments,
-                                int batch_size = 128);
+                                std::vector<IndexSegment> segments);
 
-  // Deletes an index end-to-end: marks it kRemoving (writes keep it
-  // conformant), removes its entries in batches, drops the definition.
+  // Deletes an index end-to-end.
   Status DropIndex(IndexCatalog& catalog, std::string_view database_id,
-                   IndexId index_id, int batch_size = 128);
+                   IndexId index_id) {
+    return RemoveIndexes(catalog, database_id, {index_id});
+  }
 
   // Exempts a field from automatic indexing, which stops queries using its
-  // automatic indexes at once, then removes those indexes and their entries.
+  // automatic indexes at once, then removes those indexes.
   Status ExemptField(IndexCatalog& catalog, std::string_view database_id,
                      const std::string& collection_id,
-                     const model::FieldPath& field, int batch_size = 128);
+                     const model::FieldPath& field) {
+    return RemoveIndexes(catalog, database_id,
+                         catalog.AddExemption(collection_id, field));
+  }
 
  private:
-  // Scans Entities for `database_id` and writes each document's entries for
-  // `index`, batch_size documents per transaction.
-  Status BackfillEntries(const IndexDefinition& index,
-                         std::string_view database_id, int batch_size);
-
-  // Deletes every IndexEntries row of `index_id`, batch_size per txn.
-  Status RemoveEntries(std::string_view database_id, IndexId index_id,
-                       int batch_size);
+  // Marks the indexes kRemoving (queries stop using them), deletes their
+  // entries, then erases the definitions.
+  Status RemoveIndexes(IndexCatalog& catalog, std::string_view database_id,
+                       const std::vector<IndexId>& ids);
 
   spanner::Database* spanner_;
 };

@@ -40,9 +40,7 @@ std::vector<const IndexDefinition*> CatalogSnapshot::ActiveIndexes(
   std::vector<const IndexDefinition*> result;
   for (const auto& [id, def] : indexes) {
     if (def.collection_id == collection_id &&
-        def.state == IndexState::kActive && def.active_since <= read_ts &&
-        !(def.automatic &&
-          IsExempted(collection_id, def.segments[0].field.CanonicalString()))) {
+        def.state == IndexState::kActive && def.active_since <= read_ts) {
       result.push_back(&def);
     }
   }
@@ -95,12 +93,21 @@ std::shared_ptr<const CatalogSnapshot> IndexCatalog::MaterializeAutoIndexes(
   });
 }
 
-void IndexCatalog::AddExemption(const std::string& collection_id,
-                                const model::FieldPath& field) {
+std::vector<IndexId> IndexCatalog::AddExemption(
+    const std::string& collection_id, const model::FieldPath& field) {
+  std::vector<IndexId> removing;
   FS_CHECK_OK(Publish([&](CatalogSnapshot& next) {
     next.exemptions.emplace(collection_id, field.CanonicalString());
+    for (auto& [id, def] : next.indexes) {
+      if (def.automatic && def.collection_id == collection_id &&
+          def.segments[0].field == field) {
+        def.state = IndexState::kRemoving;
+        removing.push_back(id);
+      }
+    }
     return Status::Ok();
   }).status());
+  return removing;
 }
 
 StatusOr<IndexId> IndexCatalog::AddCompositeIndex(

@@ -14,10 +14,11 @@
 //
 // A commit takes its snapshot after it holds the exclusive locks on the
 // documents it writes. An index the snapshot lacks was then added after the
-// commit locked its rows, and the index's backfill, which reads those rows
-// under locks, waits for the commit and indexes what it wrote. A snapshot
+// commit locked its rows, and the index's backfill, which re-reads each row
+// under its lock, waits for the commit and indexes what it wrote. A snapshot
 // taken before the locks could miss an index whose backfill had already
-// passed the row, and the commit would leave the row unindexed.
+// passed the row. This covers updates, not inserts: the scan cannot lock a
+// row that does not exist yet, so an insert racing it goes unindexed.
 
 #ifndef FIRESTORE_INDEX_CATALOG_H_
 #define FIRESTORE_INDEX_CATALOG_H_
@@ -58,10 +59,8 @@ struct CatalogSnapshot {
   bool IsExempted(const std::string& collection_id,
                   const std::string& field) const;
 
-  // Every ACTIVE definition of a collection id that is whole at `read_ts`,
-  // automatic ones on exempted fields excepted: they stop serving queries
-  // at once, before their entries are backremoved. The planner's
-  // candidate set.
+  // Every ACTIVE definition of a collection id that is whole at `read_ts`:
+  // the planner's candidate set.
   std::vector<const IndexDefinition*> ActiveIndexes(
       const std::string& collection_id,
       spanner::Timestamp read_ts = spanner::kMaxTimestamp) const;
@@ -95,11 +94,11 @@ class IndexCatalog {
       const std::vector<AutoIndexKey>& wanted);
 
   // Excludes a field from automatic indexing (queries needing it then fail,
-  // and writes stop producing its entries). Existing entries are removed by
-  // the backfill service (paper §IV-D1): IndexBackfillService::ExemptField
-  // calls this, then backremoves them.
-  void AddExemption(const std::string& collection_id,
-                    const model::FieldPath& field);
+  // and writes stop producing its entries) and, in the same publish, marks
+  // its automatic indexes kRemoving; returns their ids for
+  // IndexBackfillService::ExemptField to remove (paper §IV-D1).
+  std::vector<IndexId> AddExemption(const std::string& collection_id,
+                                    const model::FieldPath& field);
 
   // Registers a composite index in the given initial state; returns its id.
   // The index becomes queryable once SetIndexState(kActive) is called (the

@@ -34,7 +34,7 @@ struct IndexSegment {
 enum class IndexState {
   kBackfilling,  // being built; not yet usable by queries
   kActive,       // serving queries; maintained by every write
-  kRemoving,     // being deleted; still maintained, not usable
+  kRemoving,     // being deleted; not usable, maintained if composite
 };
 
 // Indexes apply to all collections with a given collection id (the last

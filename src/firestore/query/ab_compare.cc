@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/bytes.h"
 #include "firestore/codec/document_codec.h"
 #include "firestore/index/layout.h"
 #include "firestore/query/planner.h"
@@ -18,19 +17,15 @@ StatusOr<std::vector<Document>> ReferenceEvaluate(
   // Scan every document of the database (the reference must be independent
   // of index selection, so it ignores indexes entirely).
   std::vector<Document> docs;
-  std::string start = index::EntityKeyPrefixForDatabase(database_id);
-  const std::string limit = PrefixSuccessor(start);
-  while (true) {
-    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
-                     reader.Scan(index::kEntitiesTable, start, limit, 256));
-    if (rows.empty()) break;
-    for (const spanner::ScanRow& row : rows) {
-      ASSIGN_OR_RETURN(std::optional<Document> doc,
-                       codec::DecodeEntityRow(row.value, row.version));
-      docs.push_back(std::move(*doc));
-    }
-    start = KeySuccessor(rows.back().key);
-  }
+  RETURN_IF_ERROR(ForEachRow(
+      reader, index::kEntitiesTable,
+      index::EntityKeyPrefixForDatabase(database_id),
+      [&](const spanner::ScanRow& row) -> Status {
+        ASSIGN_OR_RETURN(std::optional<Document> doc,
+                         codec::DecodeEntityRow(row.value, row.version));
+        docs.push_back(std::move(*doc));
+        return Status::Ok();
+      }));
   return q.Evaluate(std::move(docs));
 }
 

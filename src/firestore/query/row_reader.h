@@ -5,9 +5,11 @@
 #ifndef FIRESTORE_QUERY_ROW_READER_H_
 #define FIRESTORE_QUERY_ROW_READER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "spanner/database.h"
 
@@ -33,8 +35,6 @@ class SnapshotRowReader : public RowReader {
  public:
   SnapshotRowReader(const spanner::Database* db, spanner::Timestamp ts)
       : db_(db), ts_(ts) {}
-
-  spanner::Timestamp timestamp() const { return ts_; }
 
   StatusOr<spanner::RowValue> Read(
       const std::string& table, const spanner::Key& key,
@@ -76,6 +76,23 @@ class TransactionRowReader : public RowReader {
  private:
   spanner::ReadWriteTransaction* txn_;
 };
+
+// Feeds `visit` every row of `table` under `prefix`, in key order, read
+// through `reader` in pages of spanner::kBatchRows. An error from `visit`
+// stops the walk and is returned.
+inline Status ForEachRow(
+    RowReader& reader, const std::string& table, const spanner::Key& prefix,
+    const std::function<Status(const spanner::ScanRow&)>& visit) {
+  const spanner::Key limit = PrefixSuccessor(prefix);
+  spanner::Key start = prefix;
+  while (true) {
+    ASSIGN_OR_RETURN(std::vector<spanner::ScanRow> rows,
+                     reader.Scan(table, start, limit, spanner::kBatchRows));
+    if (rows.empty()) return Status::Ok();
+    for (const spanner::ScanRow& row : rows) RETURN_IF_ERROR(visit(row));
+    start = KeySuccessor(rows.back().key);
+  }
+}
 
 }  // namespace firestore::query
 

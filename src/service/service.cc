@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/bytes.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -112,9 +111,7 @@ Status FirestoreService::DeleteDatabase(const std::string& database_id) {
   // prefix).
   const std::string prefix = index::EntityKeyPrefixForDatabase(database_id);
   for (const char* table : {index::kEntitiesTable, index::kIndexEntriesTable}) {
-    RETURN_IF_ERROR(spanner_.DeleteRange(table, prefix,
-                                         PrefixSuccessor(prefix),
-                                         /*batch_size=*/256));
+    RETURN_IF_ERROR(spanner_.DeletePrefix(table, prefix));
   }
   return Status::Ok();
 }

@@ -221,21 +221,29 @@ std::unique_ptr<ReadWriteTransaction> Database::BeginTransaction() {
       new ReadWriteTransaction(this, id));
 }
 
-Status Database::DeleteRange(const std::string& table, Key start,
-                             const Key& limit, int batch_size) {
+Status Database::ForEachBatch(
+    const std::string& table, const Key& prefix,
+    const std::function<Status(ReadWriteTransaction& txn,
+                               const std::vector<ScanRow>& rows)>& batch) {
+  const Key limit = PrefixSuccessor(prefix);
+  Key start = prefix;
   while (true) {
     auto txn = BeginTransaction();
     ASSIGN_OR_RETURN(std::vector<ScanRow> rows,
-                     txn->Scan(table, start, limit, batch_size));
-    if (rows.empty()) {
-      txn->Abort();
-      return Status::Ok();
-    }
-    for (const ScanRow& row : rows) txn->Delete(table, row.key);
-    auto commit = txn->Commit();
-    if (!commit.ok()) return commit.status();
+                     txn->Scan(table, start, limit, kBatchRows));
+    if (rows.empty()) return Status::Ok();
+    RETURN_IF_ERROR(batch(*txn, rows));
+    RETURN_IF_ERROR(txn->Commit().status());
     start = KeySuccessor(rows.back().key);
   }
+}
+
+Status Database::DeletePrefix(const std::string& table, const Key& prefix) {
+  return ForEachBatch(table, prefix, [&](ReadWriteTransaction& txn,
+                                         const std::vector<ScanRow>& rows) {
+    for (const ScanRow& row : rows) txn.Delete(table, row.key);
+    return Status::Ok();
+  });
 }
 
 Status Database::CheckReadTimestampLocked(Timestamp ts) const {

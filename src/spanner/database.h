@@ -11,6 +11,7 @@
 #define FIRESTORE_SPANNER_DATABASE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +28,9 @@
 namespace firestore::spanner {
 
 class Database;
+
+// Rows per step of a storage walk: Database::ForEachBatch, query::ForEachRow.
+inline constexpr int64_t kBatchRows = 128;
 
 struct CommitResult {
   Timestamp commit_ts = 0;
@@ -105,10 +109,15 @@ class Database {
 
   std::unique_ptr<ReadWriteTransaction> BeginTransaction();
 
-  // Deletes every row of `table` in [start, limit): each read-write
-  // transaction scans up to `batch_size` rows and deletes them.
-  Status DeleteRange(const std::string& table, Key start, const Key& limit,
-                     int batch_size);
+  // Walks the live rows of `table` under `prefix` in batches of kBatchRows,
+  // each in its own read-write transaction: it scans (and share-locks) the
+  // batch, `batch` buffers writes in it, and it commits.
+  Status ForEachBatch(
+      const std::string& table, const Key& prefix,
+      const std::function<Status(ReadWriteTransaction& txn,
+                                 const std::vector<ScanRow>& rows)>& batch);
+  // Deletes every row of `table` under `prefix`, a batch per transaction.
+  Status DeletePrefix(const std::string& table, const Key& prefix);
 
   // Lock-free timestamped reads (paper §IV-D1: "the serializability
   // guarantee on timestamps allows Firestore to perform lock-free consistent

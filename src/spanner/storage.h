@@ -20,6 +20,7 @@
 #ifndef FIRESTORE_SPANNER_STORAGE_H_
 #define FIRESTORE_SPANNER_STORAGE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <iterator>
@@ -104,6 +105,12 @@ class Table {
   // below `horizon`, not the size of the store.
   int64_t GarbageCollect(Timestamp horizon);
   size_t gc_queue_size() const { return gc_queue_.size(); }
+  // For tests, O(rows): the rows holding a list of older versions.
+  size_t rows_with_older_versions() const {
+    return std::count_if(rows_.begin(), rows_.end(), [](const auto& r) {
+      return r.second.older != nullptr;
+    });
+  }
 
   size_t tablet_count() const { return tablets_.size(); }
   const Tablets& tablets() const { return tablets_; }

@@ -27,10 +27,8 @@ class ClientTest : public ::testing::Test {
  protected:
   ClientTest() : clock_(1'000'000'000), service_(&clock_) {
     FS_CHECK_OK(service_.CreateDatabase(kDb));
-    FirestoreClient::Options options;
-    options.third_party = false;  // bypass rules for these tests
-    client_ = std::make_unique<FirestoreClient>(&service_, kDb,
-                                                rules::AuthContext{}, options);
+    // A Server SDK client: rules are bypassed for these tests.
+    client_ = std::make_unique<FirestoreClient>(&service_, kDb, std::nullopt);
   }
 
   void Pump() {
@@ -449,9 +447,7 @@ TEST_F(ClientTest, OfflineListenerKeepsItsWindowOverAStaleCache) {
 // Two clients: end-to-end collaboration
 
 TEST_F(ClientTest, TwoClientsConverge) {
-  FirestoreClient::Options options;
-  options.third_party = false;
-  FirestoreClient other(&service_, kDb, rules::AuthContext{}, options);
+  FirestoreClient other(&service_, kDb, std::nullopt);
   ViewRecorder rec_a, rec_b;
   Query q(model::ResourcePath(), "chat");
   ASSERT_TRUE(client_->OnSnapshot(q, rec_a.Callback()).ok());
@@ -486,9 +482,8 @@ TEST_F(ClientTest, RestartWithPersistenceKeepsCacheAndQueue) {
 
 TEST_F(ClientTest, RestartWithoutPersistenceDropsCache) {
   FirestoreClient::Options options;
-  options.third_party = false;
   options.persist_cache = false;
-  FirestoreClient ephemeral(&service_, kDb, rules::AuthContext{}, options);
+  FirestoreClient ephemeral(&service_, kDb, std::nullopt, options);
   ephemeral.SetNetworkEnabled(false);
   ASSERT_TRUE(ephemeral.Set(Path("/notes/e"), {{"v", Value::Integer(1)}})
                   .ok());

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <thread>
 
+#include "common/fault_injection.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "firestore/codec/document_codec.h"
 #include "firestore/codec/value_codec.h"
@@ -148,13 +152,32 @@ TEST(CatalogTest, AutoIndexIsStableAndLazy) {
 
 TEST(CatalogTest, ExemptionBlocksAutoIndex) {
   IndexCatalog catalog;
-  catalog.AddExemption("restaurants", Field("blob"));
+  EXPECT_TRUE(catalog.AddExemption("restaurants", Field("blob")).empty());
   EXPECT_TRUE(catalog.Snapshot()->IsExempted("restaurants", "blob"));
   EXPECT_EQ(
       AutoIndex(catalog, "restaurants", "blob", SegmentKind::kAscending), 0);
   // Other fields unaffected.
   EXPECT_NE(
       AutoIndex(catalog, "restaurants", "city", SegmentKind::kAscending), 0);
+}
+
+// An exemption marks the field's automatic indexes kRemoving in its own
+// publish, so queries stop planning on them at once.
+TEST(CatalogTest, ExemptionMarksAutoIndexesRemoving) {
+  IndexCatalog catalog;
+  IndexId asc =
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kAscending);
+  IndexId desc =
+      AutoIndex(catalog, "restaurants", "city", SegmentKind::kDescending);
+  ASSERT_EQ(catalog.Snapshot()->ActiveIndexes("restaurants").size(), 2u);
+  const int64_t version = catalog.Snapshot()->version;
+  EXPECT_EQ(catalog.AddExemption("restaurants", Field("city")),
+            (std::vector<IndexId>{asc, desc}));
+  std::shared_ptr<const CatalogSnapshot> after = catalog.Snapshot();
+  EXPECT_EQ(after->version, version + 1);
+  EXPECT_EQ(after->Find(asc)->state, IndexState::kRemoving);
+  EXPECT_EQ(after->Find(desc)->state, IndexState::kRemoving);
+  EXPECT_TRUE(after->ActiveIndexes("restaurants").empty());
 }
 
 TEST(CatalogTest, CompositeIndexLifecycle) {
@@ -185,7 +208,7 @@ TEST(CatalogTest, SnapshotKeepsItsViewAcrossChanges) {
   auto second = catalog.AddCompositeIndex(
       "r", {{Field("b"), SegmentKind::kAscending}}, IndexState::kBackfilling);
   ASSERT_TRUE(second.ok());
-  catalog.AddExemption("r", Field("c"));
+  EXPECT_TRUE(catalog.AddExemption("r", Field("c")).empty());
   ASSERT_TRUE(catalog.SetIndexState(*first, IndexState::kRemoving).ok());
 
   std::vector<const IndexDefinition*> maintained =
@@ -372,9 +395,12 @@ TEST(IndexConsistencyTest, RandomizedWorkload) {
 // ---------------------------------------------------------------------------
 // Backfill / backremoval
 
+// Enough documents for a backfill or a removal to span three batches.
+constexpr int kBatchesDocs = 2 * spanner::kBatchRows + 1;
+
 TEST(BackfillTest, CreateIndexBackfillsExistingDocuments) {
   TestTenant t;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < kBatchesDocs; ++i) {
     t.Put("/restaurants/r" + std::to_string(i),
           {{"city", Value::String(i % 2 == 0 ? "SF" : "NYC")},
            {"avgRating", Value::Double(i)}});
@@ -382,15 +408,14 @@ TEST(BackfillTest, CreateIndexBackfillsExistingDocuments) {
   auto id = t.backfill().CreateIndex(
       t.catalog(), t.id(), "restaurants",
       {{Field("city"), SegmentKind::kAscending},
-       {Field("avgRating"), SegmentKind::kDescending}},
-      /*batch_size=*/3);
+       {Field("avgRating"), SegmentKind::kDescending}});
   ASSERT_TRUE(id.ok());
   std::shared_ptr<const CatalogSnapshot> snapshot = t.catalog().Snapshot();
   const IndexDefinition* def = snapshot->Find(*id);
   ASSERT_NE(def, nullptr);
   EXPECT_EQ(def->state, IndexState::kActive);
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)),
-            10);
+            kBatchesDocs);
   CheckIndexConsistency(t);
 }
 
@@ -488,18 +513,18 @@ TEST(CatalogTest, NewFieldsPublishOneSnapshot) {
 
 TEST(BackfillTest, DropIndexRemovesEntries) {
   TestTenant t;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kBatchesDocs; ++i) {
     t.Put("/r/r" + std::to_string(i), {{"a", Value::Integer(i)},
                                        {"b", Value::Integer(i)}});
   }
   auto id = t.backfill().CreateIndex(
       t.catalog(), t.id(), "r",
       {{Field("a"), SegmentKind::kAscending},
-       {Field("b"), SegmentKind::kAscending}},
-      2);
+       {Field("b"), SegmentKind::kAscending}});
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)), 5);
-  ASSERT_TRUE(t.backfill().DropIndex(t.catalog(), t.id(), *id, 2).ok());
+  EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)),
+            kBatchesDocs);
+  ASSERT_TRUE(t.backfill().DropIndex(t.catalog(), t.id(), *id).ok());
   EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), *id)), 0);
   EXPECT_EQ(t.catalog().Snapshot()->Find(*id), nullptr);
   CheckIndexConsistency(t);
@@ -525,6 +550,73 @@ TEST(BackfillTest, ExemptionRemovesExistingAutoEntries) {
   // Subsequent writes make no entries for the exempted field.
   t.Put("/r/two", {{"big", Value::String("y")}});
   CheckIndexConsistency(t);
+}
+
+// A backfill failing after some batches committed removes their entries
+// with the definition.
+TEST(BackfillTest, FailedBackfillRollsBackItsEntries) {
+  TestTenant t;
+  for (int i = 0; i < spanner::kBatchRows + 1; ++i) {
+    t.Put("/r/r" + std::to_string(i), {{"a", Value::Integer(i)},
+                                       {"b", Value::Integer(i)}});
+  }
+  const IndexId id = t.catalog().Snapshot()->next_id;
+  FaultConfig config;
+  config.skip_first = 1;  // the first batch commits
+  config.max_fires = 1;
+  config.action = FaultAction::Fail(UnavailableError("scan failed"));
+  ScopedFault fault("spanner.txn.scan", config);
+  auto created = t.backfill().CreateIndex(
+      t.catalog(), t.id(), "r",
+      {{Field("a"), SegmentKind::kAscending},
+       {Field("b"), SegmentKind::kAscending}});
+  EXPECT_EQ(created.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(t.CountRows(kIndexEntriesTable, IndexKeyPrefix(t.id(), id)), 0);
+  EXPECT_EQ(t.catalog().Snapshot()->Find(id), nullptr);
+  CheckIndexConsistency(t);
+}
+
+// A backfill batch that waits on a committing writer's lock indexes the
+// version that writer committed, even when the writer's catalog snapshot
+// predates the index and so wrote no entry for it.
+TEST(BackfillTest, BackfillIndexesWhatARacingCommitWrote) {
+  TestTenant t;
+  t.Put("/r/d", {{"a", Value::Integer(1)}, {"b", Value::Integer(1)}});
+  const Document updated(Path("/r/d"),
+                         {{"a", Value::Integer(2)}, {"b", Value::Integer(2)}});
+  // The racing writer: it holds the document's exclusive lock and writes
+  // the new value without an entry for the index being built.
+  auto writer = t.spanner().BeginTransaction();
+  const std::string key = EntityKey(t.id(), updated.name());
+  ASSERT_TRUE(
+      writer->Read(kEntitiesTable, key, spanner::LockMode::kExclusive).ok());
+  writer->Put(kEntitiesTable, key, codec::SerializeDocument(updated));
+
+  const auto& waits = MetricRegistry::Global().GetCounter("spanner.lock.waits");
+  const int64_t waits_before = waits.value();
+  StatusOr<IndexId> id = InternalError("not run");
+  std::thread admin([&] {
+    id = t.backfill().CreateIndex(t.catalog(), t.id(), "r",
+                                  {{Field("a"), SegmentKind::kAscending},
+                                   {Field("b"), SegmentKind::kAscending}});
+  });
+  while (waits.value() == waits_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(writer->Commit().ok());
+  admin.join();
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  auto entries = t.spanner().SnapshotScan(
+      kIndexEntriesTable, IndexKeyPrefix(t.id(), *id),
+      PrefixSuccessor(IndexKeyPrefix(t.id(), *id)),
+      t.spanner().StrongReadTimestamp());
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), 1u);
+  EXPECT_EQ(
+      std::vector<std::string>{(*entries)[0].key},
+      ComputeEntriesForIndex(*t.catalog().Snapshot()->Find(*id), t.id(),
+                             updated));
 }
 
 }  // namespace

@@ -265,10 +265,8 @@ TEST_P(OfflinePropertyTest, RandomDisconnectsConverge) {
   ASSERT_TRUE(service.CreateDatabase(kDb).ok());
   Rng rng(GetParam());
 
-  client::FirestoreClient::Options opts;
-  opts.third_party = false;
-  client::FirestoreClient flaky(&service, kDb, rules::AuthContext{}, opts);
-  client::FirestoreClient stable(&service, kDb, rules::AuthContext{}, opts);
+  client::FirestoreClient flaky(&service, kDb, std::nullopt);
+  client::FirestoreClient stable(&service, kDb, std::nullopt);
 
   auto pump_all = [&] {
     flaky.Pump();

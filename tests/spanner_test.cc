@@ -551,6 +551,14 @@ TEST_F(SpannerTest, RowVersionsReadAndCollectAcrossTheInlineVersion) {
   expect_read(45, std::nullopt, 0);
   expect_read(50, "v4", 50);
   EXPECT_EQ(table.gc_queue_size(), 0u);
+
+  // A GC at or above the newest version empties the older-version list and
+  // frees it.
+  table.Apply("k", "v5", 60);
+  EXPECT_EQ(table.rows_with_older_versions(), 1u);
+  EXPECT_EQ(table.GarbageCollect(60), 1);
+  EXPECT_EQ(table.rows_with_older_versions(), 0u);
+  expect_read(kMaxTimestamp, "v5", 60);
 }
 
 // ---------------------------------------------------------------------------
