@@ -200,7 +200,12 @@ StatusOr<QueryPlan> PlanQuery(const index::CatalogSnapshot& catalog,
       missing->push_back({collection, field, kind});
     }
     lacking = lacking || id == 0;
-    return catalog.Find(id);
+    // Only an active index serves a query, not one a drop is removing.
+    const IndexDefinition* def = catalog.Find(id);
+    return std::find(candidates.begin(), candidates.end(), def) !=
+                   candidates.end()
+               ? def
+               : nullptr;
   };
   if (order.empty()) {
     for (const FieldPath& f : uncovered) {
@@ -228,10 +233,19 @@ StatusOr<QueryPlan> PlanQuery(const index::CatalogSnapshot& catalog,
         find_auto(f->field, SegmentKind::kArrayContains);
     if (def != nullptr) {
       selected.push_back({def, {}, f});
-    } else if (catalog.IsExempted(collection, f->field.CanonicalString())) {
+      continue;
+    }
+    const std::string canonical = f->field.CanonicalString();
+    if (catalog.IsExempted(collection, canonical)) {
       return FailedPreconditionError(
-          "field '" + f->field.CanonicalString() +
+          "field '" + canonical +
           "' is exempted from indexing; the query cannot be served");
+    }
+    if (catalog.AutoIndexId(collection, canonical,
+                            SegmentKind::kArrayContains) != 0) {
+      return FailedPreconditionError(
+          "the array-contains index on field '" + canonical +
+          "' is not active; the query cannot be served");
     }
   }
   if (lacking) {

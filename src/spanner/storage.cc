@@ -1,7 +1,9 @@
 #include "spanner/storage.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
+#include <new>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -11,15 +13,45 @@ namespace firestore::spanner {
 namespace {
 
 // The first of `older` (ascending by timestamp) newer than `ts`.
-auto FirstAfter(const std::vector<std::pair<Timestamp, RowValue>>& older,
-                Timestamp ts) {
+template <typename Versions>
+auto FirstAfter(const Versions& older, Timestamp ts) {
   return std::partition_point(older.begin(), older.end(),
                               [ts](const auto& v) { return v.first <= ts; });
 }
 
+// The block every empty value points at: a zero length and no bytes.
+alignas(size_t) char kEmptyBlock[sizeof(size_t)] = {};
+
 }  // namespace
 
-std::pair<Timestamp, const RowValue*> Table::Row::VersionAt(
+Table::StoredValue::StoredValue(const RowValue& value) {
+  if (!value.has_value()) return;
+  const size_t size = value->size();
+  if (size == 0) {
+    block_ = kEmptyBlock;
+    return;
+  }
+  block_ = static_cast<char*>(::operator new(sizeof(size_t) + size));
+  std::memcpy(block_, &size, sizeof(size_t));
+  std::memcpy(block_ + sizeof(size_t), value->data(), size);
+}
+
+Table::StoredValue::~StoredValue() {
+  if (block_ != nullptr && block_ != kEmptyBlock) ::operator delete(block_);
+}
+
+std::string_view Table::StoredValue::bytes() const {
+  size_t size;
+  std::memcpy(&size, block_, sizeof(size_t));
+  return {block_ + sizeof(size_t), size};
+}
+
+RowValue Table::StoredValue::ToRowValue() const {
+  if (!has_value()) return std::nullopt;
+  return std::string(bytes());
+}
+
+std::pair<Timestamp, const Table::StoredValue*> Table::Row::VersionAt(
     Timestamp at) const {
   if (ts <= at) return {ts, &value};
   if (older == nullptr) return {0, nullptr};
@@ -29,13 +61,29 @@ std::pair<Timestamp, const RowValue*> Table::Row::VersionAt(
   return {it->first, &it->second};
 }
 
+void Table::RowDeleter::operator()(Row* row) const {
+  row->~Row();
+  ::operator delete(row);
+}
+
+Table::RowPtr Table::NewRow(std::string_view key) {
+  void* block = ::operator new(sizeof(Row) + key.size());
+  RowPtr row(new (block) Row);
+  row->key_size = key.size();
+  std::memcpy(static_cast<void*>(row.get() + 1), key.data(), key.size());
+  return row;
+}
+
 Table::Table(std::string name) : name_(std::move(name)) {
   tablets_.try_emplace(Key());
 }
 
 void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
-  auto [row, inserted] = rows_.try_emplace(key);
-  Row& r = row->second;
+  // One walk finds the row or where a new one goes.
+  auto row = rows_.lower_bound(key);
+  const bool inserted = row == rows_.end() || (*row)->key() != key;
+  if (inserted) row = rows_.emplace_hint(row, NewRow(key));
+  Row& r = **row;
   if (!inserted || !value.has_value()) {
     FS_CHECK(inserted || ts > r.ts);
     FS_CHECK(gc_queue_.empty() || ts >= gc_queue_.back().first);
@@ -45,12 +93,13 @@ void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
   FS_METRIC_COUNTER("spanner.rows.written").Increment();
   if (!inserted) {
     if (r.older == nullptr) {
-      r.older = std::make_unique<std::vector<std::pair<Timestamp, RowValue>>>();
+      r.older =
+          std::make_unique<std::vector<std::pair<Timestamp, StoredValue>>>();
     }
     r.older->emplace_back(r.ts, std::move(r.value));
   }
   r.ts = ts;
-  r.value = std::move(value);
+  r.value = StoredValue(value);
 }
 
 RowValue Table::ReadAt(const Key& key, Timestamp ts,
@@ -60,10 +109,10 @@ RowValue Table::ReadAt(const Key& key, Timestamp ts,
   if (version != nullptr) *version = 0;
   auto row = rows_.find(key);
   if (row == rows_.end()) return std::nullopt;
-  auto [found, value] = row->second.VersionAt(ts);
+  auto [found, value] = (*row)->VersionAt(ts);
   if (value == nullptr) return std::nullopt;
   if (version != nullptr) *version = found;
-  return *value;
+  return value->ToRowValue();
 }
 
 std::vector<ScanRow> Table::ScanAt(const Key& start, const Key& limit,
@@ -74,17 +123,18 @@ std::vector<ScanRow> Table::ScanAt(const Key& start, const Key& limit,
   auto next = std::next(tablet);  // the tablet after, or end
   int64_t tablet_rows = 0;
   for (auto it = rows_.lower_bound(start); it != rows_.end(); ++it) {
-    if (!limit.empty() && it->first >= limit) break;
-    auto [version, value] = it->second.VersionAt(ts);
+    const std::string_view key = (*it)->key();
+    if (!limit.empty() && key >= limit) break;
+    auto [version, value] = (*it)->VersionAt(ts);
     if (value == nullptr || !value->has_value()) continue;  // none, tombstone
-    if (next != tablets_.end() && it->first >= next->first) {
+    if (next != tablets_.end() && key >= next->first) {
       tablet->second.reads += tablet_rows;
-      tablet = TabletForKey(it->first);
+      tablet = TabletForKey(key);
       next = std::next(tablet);
       tablet_rows = 0;
     }
     ++tablet_rows;
-    rows.push_back({it->first, **value, version});
+    rows.push_back({Key(key), std::string(value->bytes()), version});
     if (static_cast<int64_t>(rows.size()) == max_rows) break;
   }
   if (!rows.empty()) {
@@ -108,7 +158,8 @@ int Table::MaybeSplit(int64_t load_threshold) {
     auto stored = std::distance(first, last);
     if (stored < 2) continue;
     // The new upper half starts at zero load; the loop steps past it.
-    tablet = tablets_.try_emplace(next, std::next(first, stored / 2)->first);
+    tablet =
+        tablets_.try_emplace(next, Key((*std::next(first, stored / 2))->key()));
     ++splits;
   }
   return splits;
@@ -126,7 +177,7 @@ int64_t Table::GarbageCollect(Timestamp horizon) {
   while (!gc_queue_.empty() && gc_queue_.front().first <= horizon) {
     auto [ts, row] = gc_queue_.front();
     gc_queue_.pop_front();
-    Row& r = row->second;
+    Row& r = **row;
     if (r.older != nullptr) {
       // Keep the newest version <= horizon plus everything after horizon.
       auto& older = *r.older;
@@ -141,7 +192,7 @@ int64_t Table::GarbageCollect(Timestamp horizon) {
     }
     // A row whose newest write is an old tombstone goes with that write's
     // entry, its last, so no queued entry is left pointing at it.
-    if (r.ts == ts && !r.value) {
+    if (r.ts == ts && !r.value.has_value()) {
       ++dropped;
       rows_.erase(row);
     }

@@ -1,6 +1,6 @@
 // Multi-version row storage: a Table, its rows and its tablets.
 //
-// A Table holds all of its rows in one ordered map. Its key space is tiled
+// A Table holds all of its rows in one ordered set. Its key space is tiled
 // by tablets, kept as one map from start key to load counters: the first
 // tablet starts at "" and each runs up to the next start key (paper §IV-D1:
 // "Spanner's automatic load-based splitting and merging of rows into
@@ -11,8 +11,13 @@
 // multi-versioned, enabling lock-free snapshot reads at any past timestamp: a
 // row keeps its newest (timestamp, value-or-tombstone) version inline, and
 // each committed write moves the version it replaces into the row's list of
-// older ones, which GC trims and frees. So a row with one version costs one
-// map node.
+// older ones, which GC trims and frees.
+//
+// Automatic indexing (paper §IV-C) makes most rows index entries: a key of
+// about 70 bytes and an empty value. So a row is one heap block, a 32-byte
+// header followed by its key bytes, reached from one set node, and every
+// version holds its value as an 8-byte handle that allocates nothing for an
+// empty value.
 //
 // Thread-compatible: the Database serializes access (commits exclusive,
 // snapshot reads shared).
@@ -27,7 +32,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -55,8 +63,9 @@ struct TabletStats {
 };
 
 // Start key -> load. The first start key is "", and each tablet runs up to
-// the next start key (the last one is unbounded above).
-using Tablets = std::map<Key, TabletStats>;
+// the next start key (the last one is unbounded above). Looked up by
+// std::string_view as well as by Key.
+using Tablets = std::map<Key, TabletStats, std::less<>>;
 
 // The rows of one table, and the tablets covering its whole key space.
 class Table {
@@ -84,7 +93,7 @@ class Table {
                               Timestamp ts, int64_t max_rows = 0) const;
 
   // The tablet owning `key`: the last one starting at or before it.
-  Tablets::const_iterator TabletForKey(const Key& key) const {
+  Tablets::const_iterator TabletForKey(std::string_view key) const {
     return std::prev(tablets_.upper_bound(key));
   }
 
@@ -107,8 +116,8 @@ class Table {
   size_t gc_queue_size() const { return gc_queue_.size(); }
   // For tests, O(rows): the rows holding a list of older versions.
   size_t rows_with_older_versions() const {
-    return std::count_if(rows_.begin(), rows_.end(), [](const auto& r) {
-      return r.second.older != nullptr;
+    return std::count_if(rows_.begin(), rows_.end(), [](const RowPtr& r) {
+      return r->older != nullptr;
     });
   }
 
@@ -119,26 +128,79 @@ class Table {
   int ParticipantCount(const std::vector<Key>& keys) const;
 
  private:
+  // One version's value in 8 bytes: null is a tombstone, every empty value
+  // shares one static block, and any other value is one heap block holding
+  // its length and then its bytes. Move-only; frees its block.
+  class StoredValue {
+   public:
+    StoredValue() = default;  // a tombstone
+    explicit StoredValue(const RowValue& value);
+    StoredValue(StoredValue&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)) {}
+    // The moved-from handle takes this one's block and frees it.
+    StoredValue& operator=(StoredValue&& other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~StoredValue();
+
+    bool has_value() const { return block_ != nullptr; }
+    // The bytes of a value that is not a tombstone.
+    std::string_view bytes() const;
+    RowValue ToRowValue() const;
+
+   private:
+    char* block_ = nullptr;
+  };
+  static_assert(sizeof(StoredValue) == 8);
+
+  // A row's one heap block is this header followed by the key's bytes.
   struct Row {
     // The newest version.
     Timestamp ts = 0;
-    RowValue value;
+    StoredValue value;
     // The versions it shadows, in ascending timestamp order; null while the
     // row has one version.
-    std::unique_ptr<std::vector<std::pair<Timestamp, RowValue>>> older;
+    std::unique_ptr<std::vector<std::pair<Timestamp, StoredValue>>> older;
+    size_t key_size = 0;
 
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(this + 1), key_size};
+    }
     // The newest version at or before `at`, as {timestamp, value}; {0,
     // nullptr} if every version is newer.
-    std::pair<Timestamp, const RowValue*> VersionAt(Timestamp at) const;
+    std::pair<Timestamp, const StoredValue*> VersionAt(Timestamp at) const;
   };
-  // On libstdc++ a row's map node (32 bytes of tree links, a 32-byte key and
-  // the Row) fits a 128-byte malloc chunk.
-  static_assert(sizeof(Row) <= 56);
+  // On glibc a row with a 72-byte key is one 112-byte chunk (the 32-byte
+  // header, the key and malloc's 8-byte size word, rounded up to 16) plus a
+  // 48-byte set node (32 bytes of tree links and the row pointer); an empty
+  // value allocates nothing.
+  static_assert(sizeof(Row) <= 32);
+
+  struct RowDeleter {
+    void operator()(Row* row) const;
+  };
+  using RowPtr = std::unique_ptr<Row, RowDeleter>;
+  // A row with key `key` and no version yet.
+  static RowPtr NewRow(std::string_view key);
+
+  // Orders rows by key exactly as std::string does, and compares a row with
+  // a bare key, so lookups build no row.
+  struct KeyOrder {
+    using is_transparent = void;
+    static std::string_view KeyOf(const RowPtr& row) { return row->key(); }
+    static std::string_view KeyOf(std::string_view key) { return key; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return KeyOf(a) < KeyOf(b);
+    }
+  };
+  using Rows = std::set<RowPtr, KeyOrder>;
 
   std::string name_;
-  std::map<Key, Row> rows_;
+  Rows rows_;
   // (ts, row) of each overwrite and tombstone, in timestamp order.
-  std::deque<std::pair<Timestamp, std::map<Key, Row>::iterator>> gc_queue_;
+  std::deque<std::pair<Timestamp, Rows::iterator>> gc_queue_;
   Tablets tablets_;
 };
 

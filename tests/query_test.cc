@@ -397,6 +397,21 @@ TEST_F(QueryExecutionTest, ArrayContains) {
   EXPECT_EQ(Ids(*both), (std::vector<std::string>{"tagged1", "tagged2"}));
 }
 
+// An automatic array-contains index that a drop is removing serves no
+// query, as an exempted field's index does not.
+TEST_F(QueryExecutionTest, ArrayContainsOnARemovingIndexFails) {
+  t_.Put("/restaurants/tagged1",
+         {{"tags", Value::FromArray({Value::String("vegan")})}});
+  const index::IndexId id = t_.catalog().Snapshot()->AutoIndexId(
+      "restaurants", "tags", SegmentKind::kArrayContains);
+  ASSERT_NE(id, 0);
+  ASSERT_TRUE(t_.catalog().SetIndexState(id, IndexState::kRemoving).ok());
+  auto r = t_.Run(Restaurants().Where(Field("tags"), Operator::kArrayContains,
+                                      Value::String("vegan")));
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << (r.ok() ? r->plan_description : r.status().message());
+}
+
 TEST_F(QueryExecutionTest, ProjectionReturnsRequestedFieldsOnly) {
   auto r = t_.Run(Restaurants()
                       .Where(Field("city"), Operator::kEqual,

@@ -561,6 +561,46 @@ TEST_F(SpannerTest, RowVersionsReadAndCollectAcrossTheInlineVersion) {
   expect_read(kMaxTimestamp, "v5", 60);
 }
 
+// An empty value is stored without a block of its own and a tombstone as a
+// null handle; reads must tell them apart at every version and after GC.
+TEST_F(SpannerTest, EmptyValueAndTombstoneStayDistinct) {
+  Table table("R");
+  table.Apply("k", "", 10);
+  table.Apply("k", std::nullopt, 20);
+  table.Apply("k", "", 30);
+  table.Apply("k", std::nullopt, 40);
+  auto expect_read = [&](Timestamp at, RowValue value, Timestamp version) {
+    Timestamp found = -1;
+    EXPECT_EQ(table.ReadAt("k", at, &found), value) << "at " << at;
+    EXPECT_EQ(found, version) << "at " << at;
+  };
+  auto expect_reads_from_30 = [&] {
+    expect_read(30, "", 30);
+    expect_read(35, "", 30);
+    expect_read(40, std::nullopt, 40);
+  };
+  expect_read(9, std::nullopt, 0);
+  expect_read(10, "", 10);
+  expect_read(15, "", 10);
+  expect_read(20, std::nullopt, 20);
+  expect_read(25, std::nullopt, 20);
+  expect_reads_from_30();
+  auto scan = table.ScanAt("", "", 35);
+  ASSERT_EQ(scan.size(), 1u);
+  EXPECT_EQ(scan[0].value, "");
+  EXPECT_EQ(scan[0].version, 30);
+  EXPECT_TRUE(table.ScanAt("", "", 25).empty());
+
+  // The empty value at 30 is the newest version at or below 35, so the two
+  // versions before it go and the row keeps reading the same.
+  EXPECT_EQ(table.GarbageCollect(35), 2);
+  expect_reads_from_30();
+  // Past the final tombstone the row is gone.
+  EXPECT_EQ(table.GarbageCollect(40), 2);
+  expect_read(kMaxTimestamp, std::nullopt, 0);
+  EXPECT_TRUE(table.ScanAt("", "", kMaxTimestamp).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Referee: storage against a brute-force versioned model, with explicit and
 // load-based splits and garbage collection interleaved with the commits.
@@ -574,11 +614,43 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
   Database db(&clock);
   ASSERT_TRUE(db.CreateTable("T").ok());
   Table* table = db.GetTable("T");
+  // 200 keys of 1-80 bytes over an alphabet with both ends of the byte
+  // range; a third are prefixes of another key, so ordering is tested on
+  // the bytes and on the length.
+  std::vector<Key> key_pool;
+  {
+    const char alphabet[] = {'\x00', '\x01', 'a', 'k', '\x7f', '\x80',
+                             '\xff'};
+    std::set<Key> distinct;
+    while (distinct.size() < 200) {
+      Key key;
+      if (!distinct.empty() && rng.Bernoulli(0.33)) {
+        auto base = std::next(distinct.begin(),
+                              rng.Uniform(0, distinct.size() - 1));
+        key = base->substr(0, rng.Uniform(1, base->size()));
+      } else {
+        for (int n = static_cast<int>(rng.Uniform(1, 80)); n > 0; --n) {
+          key.push_back(alphabet[rng.Uniform(0, sizeof(alphabet) - 1)]);
+        }
+      }
+      distinct.insert(key);
+    }
+    key_pool.assign(distinct.begin(), distinct.end());
+  }
   auto random_key = [&] {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "k%03d",
-                  static_cast<int>(rng.Uniform(0, 199)));
-    return std::string(buf);
+    return key_pool[rng.Uniform(0, key_pool.size() - 1)];
+  };
+  // Empty values, short values and values longer than 15 bytes.
+  auto random_value = [&](int step) {
+    switch (rng.Uniform(0, 2)) {
+      case 0:
+        return std::string();
+      case 1:
+        return "v" + std::to_string(step);
+      default:
+        return std::string(rng.Uniform(16, 100), '\xff') +
+               std::to_string(step);
+    }
   };
   // Every committed version, and what GC leaves stored.
   std::map<Key, History> history;
@@ -631,7 +703,7 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
         txn->Delete("T", key);
         writes[key] = std::nullopt;
       } else {
-        std::string value = "v" + std::to_string(step);
+        std::string value = random_value(step);
         txn->Put("T", key, value);
         writes[key] = value;
       }
