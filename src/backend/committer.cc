@@ -305,20 +305,21 @@ StatusOr<CommitResponse> Committer::CommitInternal(
       txn.Delete(index::kEntitiesTable, index::EntityKey(database_id, name));
       ++deletes;
     }
-    // Sorted-set difference keeps the work proportional to the change.
-    for (const std::string& entry : old_entries) {
-      if (!std::binary_search(new_entries.begin(), new_entries.end(),
-                              entry)) {
-        txn.Delete(index::kIndexEntriesTable, entry);
-        ++response.index_entries_written;
+    // One merge of the two sorted sets keeps the work proportional to the
+    // change, and moves each changed entry into the write set.
+    auto o = old_entries.begin();
+    auto n = new_entries.begin();
+    while (o != old_entries.end() || n != new_entries.end()) {
+      if (n == new_entries.end() || (o != old_entries.end() && *o < *n)) {
+        txn.Delete(index::kIndexEntriesTable, std::move(*o++));
+      } else if (o == old_entries.end() || *n < *o) {
+        txn.Put(index::kIndexEntriesTable, std::move(*n++), "");
+      } else {
+        ++o;
+        ++n;
+        continue;
       }
-    }
-    for (const std::string& entry : new_entries) {
-      if (!std::binary_search(old_entries.begin(), old_entries.end(),
-                              entry)) {
-        txn.Put(index::kIndexEntriesTable, entry, "");
-        ++response.index_entries_written;
-      }
+      ++response.index_entries_written;
     }
 
     DocumentChange change;

@@ -31,9 +31,9 @@ StatusOr<IndexId> IndexBackfillService::CreateIndex(
                            txn.Read(kEntitiesTable, row.key));
           if (!value.has_value()) continue;
           ASSIGN_OR_RETURN(model::Document doc, codec::ParseDocument(*value));
-          for (const std::string& key :
+          for (std::string& key :
                ComputeEntriesForIndex(*def, database_id, doc)) {
-            txn.Put(kIndexEntriesTable, key, "");
+            txn.Put(kIndexEntriesTable, std::move(key), "");
           }
         }
         return Status::Ok();

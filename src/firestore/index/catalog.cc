@@ -1,21 +1,20 @@
 #include "firestore/index/catalog.h"
 
-#include <sstream>
-
 #include "common/logging.h"
 
 namespace firestore::index {
 
 std::string IndexDefinition::DebugString() const {
   static constexpr const char* kKinds[] = {" asc", " desc", " array-contains"};
-  std::ostringstream os;
-  os << "index#" << index_id << " on " << collection_id << " (";
+  std::string out = "index#" + std::to_string(index_id) + " on ";
+  out.append(collection_id).append(" (");
   for (size_t i = 0; i < segments.size(); ++i) {
-    os << (i > 0 ? ", " : "") << segments[i].field.CanonicalString()
-       << kKinds[static_cast<int>(segments[i].kind)];
+    if (i > 0) out.append(", ");
+    out.append(segments[i].field.CanonicalString())
+        .append(kKinds[static_cast<int>(segments[i].kind)]);
   }
-  os << ")";
-  return os.str();
+  out.push_back(')');
+  return out;
 }
 
 const IndexDefinition* CatalogSnapshot::Find(IndexId index_id) const {
@@ -23,16 +22,16 @@ const IndexDefinition* CatalogSnapshot::Find(IndexId index_id) const {
   return it == indexes.end() ? nullptr : &it->second;
 }
 
-IndexId CatalogSnapshot::AutoIndexId(const std::string& collection_id,
-                                     const std::string& field,
+IndexId CatalogSnapshot::AutoIndexId(std::string_view collection_id,
+                                     std::string_view field,
                                      SegmentKind kind) const {
   auto it = auto_ids.find(std::make_tuple(collection_id, field, kind));
   return it == auto_ids.end() ? 0 : it->second;
 }
 
-bool CatalogSnapshot::IsExempted(const std::string& collection_id,
-                                 const std::string& field) const {
-  return exemptions.count({collection_id, field}) != 0;
+bool CatalogSnapshot::IsExempted(std::string_view collection_id,
+                                 std::string_view field) const {
+  return exemptions.count(std::make_pair(collection_id, field)) != 0;
 }
 
 std::vector<const IndexDefinition*> CatalogSnapshot::ActiveIndexes(

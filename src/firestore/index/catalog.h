@@ -28,6 +28,9 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,6 +46,27 @@ struct AutoIndexKey {
   SegmentKind kind = SegmentKind::kAscending;
 };
 
+// Orders tuples and pairs of strings (and a SegmentKind) field by field, as
+// std::tuple does, and compares them with the same shapes of
+// std::string_view, so a lookup copies no string.
+struct FieldwiseOrder {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return Views(a) < Views(b);
+  }
+
+ private:
+  template <typename Tuple>
+  static auto Views(const Tuple& t) {
+    return std::apply(
+        [](const auto&... field) { return std::make_tuple(View(field)...); },
+        t);
+  }
+  static std::string_view View(std::string_view s) { return s; }
+  static SegmentKind View(SegmentKind kind) { return kind; }
+};
+
 // One immutable view of a database's index definitions: the catalog hands
 // it out as `shared_ptr<const CatalogSnapshot>` and only ever edits a copy
 // it has not yet published. `field` arguments are canonical field strings
@@ -53,11 +77,11 @@ struct CatalogSnapshot {
 
   // The id of the materialized automatic index (collection, field, kind),
   // or 0 if it is not materialized.
-  IndexId AutoIndexId(const std::string& collection_id,
-                      const std::string& field, SegmentKind kind) const;
+  IndexId AutoIndexId(std::string_view collection_id, std::string_view field,
+                      SegmentKind kind) const;
 
-  bool IsExempted(const std::string& collection_id,
-                  const std::string& field) const;
+  bool IsExempted(std::string_view collection_id,
+                  std::string_view field) const;
 
   // Every ACTIVE definition of a collection id that is whole at `read_ts`:
   // the planner's candidate set.
@@ -76,9 +100,10 @@ struct CatalogSnapshot {
   IndexId next_id = 1;
   std::map<IndexId, IndexDefinition> indexes;
   // (collection, field canonical, kind) -> id for automatic indexes.
-  std::map<std::tuple<std::string, std::string, SegmentKind>, IndexId>
+  std::map<std::tuple<std::string, std::string, SegmentKind>, IndexId,
+           FieldwiseOrder>
       auto_ids;
-  std::set<std::pair<std::string, std::string>> exemptions;
+  std::set<std::pair<std::string, std::string>, FieldwiseOrder> exemptions;
 };
 
 class IndexCatalog {

@@ -1,7 +1,5 @@
 #include "firestore/model/path.h"
 
-#include <sstream>
-
 namespace firestore::model {
 
 namespace {
@@ -59,9 +57,12 @@ bool ResourcePath::IsPrefixOf(const ResourcePath& other) const {
 }
 
 std::string ResourcePath::CanonicalString() const {
-  std::ostringstream os;
-  for (const std::string& s : segments_) os << '/' << s;
-  return os.str();
+  std::string result;
+  for (const std::string& s : segments_) {
+    result.push_back('/');
+    result.append(s);
+  }
+  return result;
 }
 
 int ResourcePath::Compare(const ResourcePath& other) const {
@@ -86,12 +87,12 @@ FieldPath FieldPath::Single(std::string name) {
 }
 
 std::string FieldPath::CanonicalString() const {
-  std::ostringstream os;
+  std::string result;
   for (size_t i = 0; i < segments_.size(); ++i) {
-    if (i > 0) os << '.';
-    os << segments_[i];
+    if (i > 0) result.push_back('.');
+    result.append(segments_[i]);
   }
-  return os.str();
+  return result;
 }
 
 }  // namespace firestore::model

@@ -109,14 +109,14 @@ bool TailMatchesOrder(const IndexDefinition& def, size_t eq_count,
 }  // namespace
 
 std::string QueryPlan::DebugString() const {
-  std::ostringstream os;
-  if (scans.size() > 1) os << "zigzag-join(";
+  std::string out;
+  if (scans.size() > 1) out.append("zigzag-join(");
   for (size_t i = 0; i < scans.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << scans[i].description;
+    if (i > 0) out.append(", ");
+    out.append(scans[i].description);
   }
-  if (scans.size() > 1) os << ")";
-  return os.str();
+  if (scans.size() > 1) out.push_back(')');
+  return out;
 }
 
 StatusOr<QueryPlan> PlanQuery(const index::CatalogSnapshot& catalog,

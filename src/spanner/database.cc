@@ -23,7 +23,9 @@ ReadWriteTransaction::~ReadWriteTransaction() {
 
 std::string ReadWriteTransaction::LockKey(const std::string& table,
                                           const Key& key) const {
-  std::string result = table;
+  std::string result;
+  result.reserve(table.size() + 1 + key.size());
+  result.append(table);
   result.push_back(kLockSeparator);
   result.append(key);
   return result;
@@ -94,21 +96,21 @@ StatusOr<std::vector<ScanRow>> ReadWriteTransaction::Scan(
     rows.resize(max_rows);
   }
   // 2PL: lock the rows the scan observed.
-  for (const ScanRow& row : rows) {
-    RETURN_IF_ERROR(db_->lock_manager_.Acquire(id_, LockKey(table, row.key),
-                                               LockMode::kShared,
-                                               db_->lock_timeout_ms()));
-  }
+  std::vector<std::string> lock_keys;
+  lock_keys.reserve(rows.size());
+  for (const ScanRow& row : rows) lock_keys.push_back(LockKey(table, row.key));
+  RETURN_IF_ERROR(db_->lock_manager_.AcquireAll(
+      id_, lock_keys, LockMode::kShared, db_->lock_timeout_ms()));
   return rows;
 }
 
-void ReadWriteTransaction::Put(const std::string& table, const Key& key,
+void ReadWriteTransaction::Put(const std::string& table, Key key,
                                std::string value) {
-  writes_[table][key] = std::move(value);
+  writes_[table].insert_or_assign(std::move(key), std::move(value));
 }
 
-void ReadWriteTransaction::Delete(const std::string& table, const Key& key) {
-  writes_[table][key] = std::nullopt;
+void ReadWriteTransaction::Delete(const std::string& table, Key key) {
+  writes_[table].insert_or_assign(std::move(key), std::nullopt);
 }
 
 void ReadWriteTransaction::AddMessage(const std::string& topic,
@@ -132,17 +134,20 @@ StatusOr<CommitResult> ReadWriteTransaction::Commit(Timestamp min_allowed,
   }
   // Acquire exclusive locks on the write set (paper §IV-D2 step 6: "Spanner
   // acquires additional exclusive locks on the specific IndexEntries rows").
+  size_t rows = 0;
+  for (const auto& [table, keys] : writes_) rows += keys.size();
+  std::vector<std::string> lock_keys;
+  lock_keys.reserve(rows);
   for (const auto& [table, keys] : writes_) {
     for (const auto& [key, value] : keys) {
-      (void)value;
-      Status s = db_->lock_manager_.Acquire(
-          id_, LockKey(table, key), LockMode::kExclusive,
-          db_->lock_timeout_ms());
-      if (!s.ok()) {
-        Abort();
-        return s;
-      }
+      lock_keys.push_back(LockKey(table, key));
     }
+  }
+  if (Status s = db_->lock_manager_.AcquireAll(
+          id_, lock_keys, LockMode::kExclusive, db_->lock_timeout_ms());
+      !s.ok()) {
+    Abort();
+    return s;
   }
   CommitResult result;
   {
@@ -154,21 +159,31 @@ StatusOr<CommitResult> ReadWriteTransaction::Commit(Timestamp min_allowed,
       return ts.status();
     }
     result.commit_ts = *ts;
+    // Every table must exist before any row is applied.
+    std::vector<Table*> tables;
+    tables.reserve(writes_.size());
     for (const auto& [table, keys] : writes_) {
       auto table_it = db_->tables_.find(table);
       if (table_it == db_->tables_.end()) {
+        // Abort clears writes_, and `table` with it.
+        Status missing = NotFoundError("no such table: " + table);
         data_lock.Unlock();
         Abort();
-        return NotFoundError("no such table: " + table);
+        return missing;
       }
-      std::vector<Key> key_list;
-      key_list.reserve(keys.size());
-      for (const auto& [key, value] : keys) key_list.push_back(key);
-      result.participants +=
-          table_it->second->ParticipantCount(key_list);
+      tables.push_back(table_it->second.get());
+    }
+    auto table = tables.begin();
+    for (const auto& [name, keys] : writes_) {
+      // A table's keys arrive sorted and its tablets tile the key space in
+      // order, so each 2PC participant starts where the tablet changes.
+      Tablets::const_iterator last = (*table)->tablets().end();
       for (const auto& [key, value] : keys) {
-        table_it->second->Apply(key, value, *ts);
+        Tablets::const_iterator tablet = (*table)->Apply(key, value, *ts);
+        if (tablet != last) ++result.participants;
+        last = tablet;
       }
+      ++table;
     }
   }
   for (QueueMessage& m : messages_) {

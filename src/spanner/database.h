@@ -66,9 +66,10 @@ class ReadWriteTransaction {
                                       const Key& start, const Key& limit,
                                       int64_t max_rows = 0);
 
-  // Buffers a write / delete. Locks are acquired during Commit.
-  void Put(const std::string& table, const Key& key, std::string value);
-  void Delete(const std::string& table, const Key& key);
+  // Buffers a write / delete, taking the key and value over. Locks are
+  // acquired during Commit.
+  void Put(const std::string& table, Key key, std::string value);
+  void Delete(const std::string& table, Key key);
 
   // Buffers a transactional message (delivered iff the commit succeeds).
   void AddMessage(const std::string& topic, std::string payload);

@@ -78,7 +78,8 @@ Table::Table(std::string name) : name_(std::move(name)) {
   tablets_.try_emplace(Key());
 }
 
-void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
+Tablets::const_iterator Table::Apply(const Key& key, const RowValue& value,
+                                     Timestamp ts) {
   // One walk finds the row or where a new one goes.
   auto row = rows_.lower_bound(key);
   const bool inserted = row == rows_.end() || (*row)->key() != key;
@@ -89,7 +90,8 @@ void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
     FS_CHECK(gc_queue_.empty() || ts >= gc_queue_.back().first);
     gc_queue_.emplace_back(ts, row);
   }
-  ++TabletForKey(key)->second.writes;
+  auto tablet = TabletForKey(key);
+  ++tablet->second.writes;
   FS_METRIC_COUNTER("spanner.rows.written").Increment();
   if (!inserted) {
     if (r.older == nullptr) {
@@ -100,6 +102,7 @@ void Table::Apply(const Key& key, RowValue value, Timestamp ts) {
   }
   r.ts = ts;
   r.value = StoredValue(value);
+  return tablet;
 }
 
 RowValue Table::ReadAt(const Key& key, Timestamp ts,
@@ -198,17 +201,6 @@ int64_t Table::GarbageCollect(Timestamp horizon) {
     }
   }
   return dropped;
-}
-
-int Table::ParticipantCount(const std::vector<Key>& keys) const {
-  std::vector<Tablets::const_iterator> seen;
-  for (const Key& key : keys) {
-    auto tablet = TabletForKey(key);
-    if (std::find(seen.begin(), seen.end(), tablet) == seen.end()) {
-      seen.push_back(tablet);
-    }
-  }
-  return static_cast<int>(seen.size());
 }
 
 }  // namespace firestore::spanner

@@ -76,7 +76,9 @@ class Table {
 
   // Adds a version (timestamps rise per key, never fall across the table),
   // counts a write on its tablet, and queues an overwrite or tombstone for GC.
-  void Apply(const Key& key, RowValue value, Timestamp ts);
+  // Returns the tablet charged: a commit counts its 2PC participants by it.
+  Tablets::const_iterator Apply(const Key& key, const RowValue& value,
+                                Timestamp ts);
 
   // Latest version at or before `ts`; nullopt if the row does not exist at
   // `ts` (never written, or tombstoned). If `version` is non-null it
@@ -123,9 +125,6 @@ class Table {
 
   size_t tablet_count() const { return tablets_.size(); }
   const Tablets& tablets() const { return tablets_; }
-
-  // Distinct tablets touched by a set of keys (the 2PC participant count).
-  int ParticipantCount(const std::vector<Key>& keys) const;
 
  private:
   // One version's value in 8 bytes: null is a tombstone, every empty value

@@ -324,6 +324,82 @@ TEST(ExtractorTest, CompositeEntryRequiresAllFields) {
   EXPECT_TRUE(ComputeEntriesForIndex(*def, "db", wrong_collection).empty());
 }
 
+// ComputeIndexEntries encodes the database prefix and the document name
+// once per document; every key must still equal IndexEntryKey's, built
+// entry by entry from FlattenDocument's leaves and the catalog.
+TEST(ExtractorTest, EntriesMatchIndexEntryKeyByteForByte) {
+  IndexCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddCompositeIndex(
+                      "restaurants",
+                      {{Field("city"), SegmentKind::kAscending},
+                       {Field("stats.rating"), SegmentKind::kDescending}},
+                      IndexState::kActive)
+                  .ok());
+  catalog.AddExemption("restaurants", Field("stats.blob"));
+  const Value city = Value::String(std::string("S\0F", 3));
+  Document doc(Path("/chains/c1/restaurants/one"), {});
+  doc.SetField(Field("city"), city);
+  doc.SetField(Field("stats.rating"), Value::Double(4.5));
+  doc.SetField(Field("stats.blob"), Value::String("skipped"));
+  doc.SetField(Field("stats.deep.n"), Value::Integer(-7));
+  doc.SetField(Field("tags"),
+               Value::FromArray({Value::String("bbq"), Value::Integer(3),
+                                 Value::FromArray({Value::Boolean(true)})}));
+  doc.SetField(Field("stats.deep.list"),
+               Value::FromArray({Value::String("x"), Value::String("x")}));
+  Entries(catalog, doc);  // materializes the automatic indexes
+  std::shared_ptr<const CatalogSnapshot> snapshot = catalog.Snapshot();
+
+  auto old_way = [&](std::string_view db) {
+    std::set<std::string> keys;
+    for (const IndexableLeaf& leaf : FlattenDocument(doc)) {
+      const std::string field = leaf.field.CanonicalString();
+      if (snapshot->IsExempted("restaurants", field)) continue;
+      for (SegmentKind kind :
+           {SegmentKind::kAscending, SegmentKind::kDescending}) {
+        const IndexId id = snapshot->AutoIndexId("restaurants", field, kind);
+        EXPECT_NE(id, 0) << field;
+        std::string values;
+        if (kind == SegmentKind::kAscending) {
+          codec::AppendValueAsc(values, leaf.value);
+        } else {
+          codec::AppendValueDesc(values, leaf.value);
+        }
+        keys.insert(IndexEntryKey(db, id, values, doc.name()));
+      }
+      if (leaf.value.type() != model::ValueType::kArray) continue;
+      const IndexId id = snapshot->AutoIndexId("restaurants", field,
+                                               SegmentKind::kArrayContains);
+      EXPECT_NE(id, 0) << field;
+      for (const Value& element : leaf.value.array_value()) {
+        std::string values;
+        codec::AppendValueAsc(values, element);
+        keys.insert(IndexEntryKey(db, id, values, doc.name()));
+      }
+    }
+    for (const IndexDefinition* def :
+         snapshot->MaintainedComposites("restaurants")) {
+      std::string values;
+      codec::AppendValueAsc(values, city);
+      codec::AppendValueDesc(values, Value::Double(4.5));
+      keys.insert(IndexEntryKey(db, def->index_id, values, doc.name()));
+    }
+    return std::vector<std::string>(keys.begin(), keys.end());
+  };
+
+  // A plain database id, and one whose encoding escapes a 0x00 byte.
+  for (const std::string& db : {std::string("db"),
+                               std::string("data\0base-zz", 13)}) {
+    const std::vector<std::string> got =
+        ComputeIndexEntries(*snapshot, db, doc);
+    EXPECT_EQ(got, old_way(db));
+    // city, stats, stats.rating, stats.deep, stats.deep.n, stats.deep.list
+    // and tags, asc + desc; 3 + 1 array-contains; 1 composite.
+    EXPECT_EQ(got.size(), 7u * 2 + 4 + 1);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Index consistency through the write path (DESIGN.md invariant 2)
 

@@ -1,7 +1,8 @@
 // Conflict-path tests for the wound-wait lock manager (paper §IV-D1/D3):
-// writer-writer conflicts, shared->exclusive upgrades under contention, and
-// release-after-abort. Each scenario runs real threads through the blocking
-// Acquire path and asserts the lock table drains to empty afterwards.
+// writer-writer conflicts, shared->exclusive upgrades under contention,
+// release-after-abort, and whole write sets granted by one AcquireAll. Each
+// scenario runs real threads through the blocking acquisition path and
+// asserts the lock table drains to empty afterwards.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,23 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "spanner/lock_manager.h"
 
 namespace firestore::spanner {
 namespace {
+
+int64_t LockWaits() {
+  return MetricRegistry::Global().GetCounter("spanner.lock.waits").value();
+}
+
+// Blocks until some acquisition has started waiting since `waits` was read:
+// the waiter counts its wait under the manager's mutex and frees it only
+// inside the wait.
+void AwaitWaiter(int64_t waits) {
+  while (LockWaits() == waits) std::this_thread::yield();
+}
 
 // ---------------------------------------------------------------------------
 // Writer-writer conflict
@@ -176,6 +189,135 @@ TEST(LockManagerConflictTest, TimeoutLeavesNoResidue) {
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
 
   locks.ReleaseAll(2);  // no-op: nothing was granted
+  locks.ReleaseAll(1);
+  EXPECT_EQ(locks.LockCount(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Write sets (AcquireAll)
+
+// A younger write set that meets an older transaction's lock midway keeps
+// the keys granted before it, waits without wounding, and then holds every
+// key.
+TEST(LockManagerBatchTest, WriteSetWaitsMidwayThenHoldsEveryKey) {
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, "t/b", LockMode::kExclusive).ok());
+
+  const int64_t waits = LockWaits();
+  std::atomic<bool> granted{false};
+  std::thread writer([&] {
+    std::vector<std::string> keys = {"t/a", "t/b", "t/c"};
+    Status s = locks.AcquireAll(2, keys, LockMode::kExclusive);
+    EXPECT_TRUE(s.ok()) << s;
+    granted.store(true);
+  });
+
+  AwaitWaiter(waits);
+  EXPECT_FALSE(granted.load());
+  EXPECT_FALSE(locks.IsWounded(1));
+  EXPECT_EQ(locks.LockCount(), 2);  // t/a granted to 2, t/b held by 1
+
+  locks.ReleaseAll(1);
+  writer.join();
+  EXPECT_TRUE(granted.load());
+  EXPECT_EQ(locks.LockCount(), 3);
+  // Every key is now txn 2's, exclusively.
+  for (const char* key : {"t/a", "t/b", "t/c"}) {
+    EXPECT_EQ(locks.Acquire(3, key, LockMode::kShared, /*timeout_ms=*/5)
+                  .code(),
+              StatusCode::kDeadlineExceeded)
+        << key;
+  }
+
+  locks.ReleaseAll(3);
+  locks.ReleaseAll(2);
+  EXPECT_EQ(locks.LockCount(), 0);
+}
+
+// The holder's release erases the entry a waiter is waiting on, and the
+// holder's other locks make the table rehash while the waiter sleeps. The
+// waiter finds its key again by value, re-creates the entry and is granted.
+TEST(LockManagerBatchTest, WaiterWhoseEntryIsErasedStillGetsLock) {
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, "t/row", LockMode::kExclusive).ok());
+
+  const int64_t waits = LockWaits();
+  std::thread waiter([&] {
+    std::vector<std::string> keys = {"t/row", "t/row2"};
+    Status s = locks.AcquireAll(2, keys, LockMode::kExclusive);
+    EXPECT_TRUE(s.ok()) << s;
+  });
+
+  AwaitWaiter(waits);
+  std::vector<std::string> more;
+  for (int i = 0; i < 512; ++i) more.push_back("t/more" + std::to_string(i));
+  ASSERT_TRUE(locks.AcquireAll(1, more, LockMode::kExclusive).ok());
+  EXPECT_EQ(locks.LockCount(), 513);
+  locks.ReleaseAll(1);  // erases every entry txn 1 held, t/row included
+  waiter.join();
+  EXPECT_EQ(locks.LockCount(), 2);
+
+  locks.ReleaseAll(2);
+  EXPECT_EQ(locks.LockCount(), 0);
+}
+
+// An older transaction wounds a younger write set while it waits midway:
+// the batch returns ABORTED, keeps the keys granted before the wound until
+// ReleaseAll frees them, and never takes the keys after it.
+TEST(LockManagerBatchTest, WoundMidBatchAbortsAndReleaseFreesGrantedKeys) {
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, "t/b", LockMode::kExclusive).ok());
+
+  int64_t waits = LockWaits();
+  Status batch;
+  std::thread younger([&] {
+    std::vector<std::string> keys = {"t/a", "t/b", "t/c"};
+    batch = locks.AcquireAll(2, keys, LockMode::kExclusive);
+  });
+  AwaitWaiter(waits);  // txn 2 holds t/a and waits for t/b
+
+  waits = LockWaits();
+  std::atomic<bool> older_granted{false};
+  std::thread older([&] {
+    // Conflicts with txn 2 on t/a: wounds it, then waits for the release.
+    Status s = locks.Acquire(1, "t/a", LockMode::kExclusive);
+    EXPECT_TRUE(s.ok()) << s;
+    older_granted.store(true);
+  });
+  younger.join();
+  EXPECT_EQ(batch.code(), StatusCode::kAborted);
+  AwaitWaiter(waits);
+  EXPECT_FALSE(older_granted.load());
+  EXPECT_EQ(locks.LockCount(), 2);  // t/a (txn 2), t/b (txn 1); no t/c
+
+  locks.ReleaseAll(2);  // the abort path
+  older.join();
+  EXPECT_TRUE(older_granted.load());
+  EXPECT_FALSE(locks.IsWounded(2));
+  EXPECT_EQ(locks.LockCount(), 2);  // both now txn 1's
+
+  locks.ReleaseAll(1);
+  EXPECT_EQ(locks.LockCount(), 0);
+}
+
+// A key the transaction already holds shared, from a read, is upgraded to
+// exclusive inside its write set.
+TEST(LockManagerBatchTest, WriteSetUpgradesKeyHeldSharedByRead) {
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, "t/b", LockMode::kShared).ok());
+  // Another reader shares it meanwhile.
+  ASSERT_TRUE(locks.Acquire(2, "t/b", LockMode::kShared).ok());
+  locks.ReleaseAll(2);
+
+  std::vector<std::string> keys = {"t/a", "t/b", "t/c"};
+  ASSERT_TRUE(locks.AcquireAll(1, keys, LockMode::kExclusive).ok());
+  EXPECT_EQ(locks.LockCount(), 3);
+  // Exclusive now: a younger reader waits and times out.
+  EXPECT_EQ(locks.Acquire(2, "t/b", LockMode::kShared, /*timeout_ms=*/5)
+                .code(),
+            StatusCode::kDeadlineExceeded);
+
+  locks.ReleaseAll(2);
   locks.ReleaseAll(1);
   EXPECT_EQ(locks.LockCount(), 0);
 }

@@ -116,6 +116,18 @@ TEST_F(SpannerTest, UnknownTableErrors) {
   EXPECT_EQ(db_.CreateTable("T").code(), StatusCode::kAlreadyExists);
 }
 
+// A commit that writes an unknown table fails whole: no row of the tables
+// before it in the write set is applied.
+TEST_F(SpannerTest, CommitToUnknownTableAppliesNothing) {
+  auto txn = db_.BeginTransaction();
+  txn->Put("T", "k", "v");
+  txn->Put("nope", "k", "v");  // orders after "T"
+  EXPECT_EQ(txn->Commit().status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(
+      db_.SnapshotRead("T", "k", db_.StrongReadTimestamp())->has_value());
+  EXPECT_EQ(db_.lock_manager().LockCount(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Transactions
 
@@ -429,6 +441,26 @@ TEST_F(SpannerTest, ParticipantCountReflectsTabletsTouched) {
   auto multi = txn2->Commit();
   ASSERT_TRUE(multi.ok());
   EXPECT_EQ(multi->participants, 2);
+
+  // Two tables, each split: a tablet counts once however many of its keys
+  // are written, and tablets of different tables count apart.
+  ASSERT_TRUE(db_.CreateTable("U").ok());
+  ASSERT_TRUE(db_.GetTable("U")->SplitAt("m").ok());
+  auto txn3 = db_.BeginTransaction();
+  for (const char* key : {"a", "b", "c", "d", "f"}) txn3->Put("T", key, "3");
+  for (const char* key : {"a", "l", "m", "z"}) txn3->Put("U", key, "3");
+  txn3->Delete("U", "n");
+  auto both = txn3->Commit();
+  ASSERT_TRUE(both.ok());
+  // T: [""..d) and [d..); U: [""..m) and [m..).
+  EXPECT_EQ(both->participants, 4);
+  auto txn4 = db_.BeginTransaction();
+  txn4->Put("T", "e", "4");
+  txn4->Put("U", "b", "4");
+  txn4->Put("U", "c", "4");
+  auto one_each = txn4->Commit();
+  ASSERT_TRUE(one_each.ok());
+  EXPECT_EQ(one_each->participants, 2);
 }
 
 TEST_F(SpannerTest, GarbageCollectionDropsOldVersions) {
@@ -710,6 +742,11 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
     }
     auto commit = txn->Commit();
     ASSERT_TRUE(commit.ok());
+    // Participants: the distinct tablets owning the written keys.
+    std::set<size_t> owners;
+    const std::vector<Key> starts = boundaries();
+    for (const auto& [key, value] : writes) owners.insert(owner(starts, key));
+    EXPECT_EQ(commit->participants, static_cast<int>(owners.size()));
     for (const auto& [key, value] : writes) {
       history[key][commit->commit_ts] = value;
       stored[key][commit->commit_ts] = value;
@@ -762,19 +799,6 @@ TEST_P(StoragePropertyTest, TableMatchesVersionedModel) {
         EXPECT_EQ((*got)[i].value, want[i].value);
         EXPECT_EQ((*got)[i].version, want[i].version);
       }
-    }
-
-    // Participants: distinct tablets owning a random key set.
-    {
-      std::vector<Key> keys;
-      for (int n = static_cast<int>(rng.Uniform(1, 6)); n > 0; --n) {
-        keys.push_back(random_key());
-      }
-      std::set<size_t> owners;
-      const std::vector<Key> starts = boundaries();
-      for (const Key& key : keys) owners.insert(owner(starts, key));
-      EXPECT_EQ(table->ParticipantCount(keys),
-                static_cast<int>(owners.size()));
     }
 
     // Maintenance, interleaved.
